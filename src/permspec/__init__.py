@@ -9,7 +9,6 @@ laboratory for power studies over thin- and fat-tailed noise.
 __version__ = "0.1.0"
 
 from .errors import CsvParseError, DegenerateSeriesError
-from .kernels import active_backend, available_backends, backend_for, set_backend
 from .permutation import (
     NullDistribution,
     PermutationPlan,
@@ -80,13 +79,10 @@ __all__ = [
     "StudyConfig",
     "TestResult",
     "TimeSeries",
-    "active_backend",
     "analyze_spectrum",
     "as_time_series",
     "autocorrelation_profile",
     "autocovariance",
-    "available_backends",
-    "backend_for",
     "build_plot_model",
     "center",
     "chebyshev_t",
@@ -112,7 +108,6 @@ __all__ = [
     "run_grid",
     "run_test",
     "save_table",
-    "set_backend",
     "simulate_null",
     "spectral_identity",
     "standardized_intensity",

@@ -19,9 +19,9 @@ import sys
 
 from . import __version__
 from .errors import CsvParseError
-from .permutation import PermutationPlan, simulate_null, summarize_test
+from .permutation import PermutationPlan, check_confidence, simulate_null, summarize_test
 from .plotting import render_plot
-from .power import desk_scale_config, full_scale_config, run_grid, save_table
+from .power import StudyConfig, desk_scale_config, full_scale_config, run_grid, save_table
 from .report import render_report, write_report
 from .series import MIN_LENGTH, TimeSeries
 from .signals import DISTRIBUTIONS, random_composite
@@ -144,9 +144,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_test(args) -> int:
+# Each command first turns its flags into a validated configuration, before
+# any I/O, so an invalid flag value is a usage error; then it runs.
+
+def _test_plan(args) -> PermutationPlan:
+    check_confidence(args.confidence)
+    return PermutationPlan(master_seed=args.seed, n_permutations=args.permutations)
+
+
+def _cmd_test(args, plan: PermutationPlan) -> int:
     series = ingest_csv(args.input, args.column)
-    plan = PermutationPlan(master_seed=args.seed, n_permutations=args.permutations)
     analysis = analyze_spectrum(series)
     null = simulate_null(series, plan)
     result = summarize_test(analysis, null, args.confidence)
@@ -159,15 +166,17 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _cmd_power_study(args) -> int:
+def _study_config(args) -> StudyConfig:
     factory = full_scale_config if args.full_scale else desk_scale_config
     overrides = {"alpha": args.alpha}
     if args.replicates is not None:
         overrides["replicates"] = args.replicates
     if args.permutations is not None:
         overrides["permutations"] = args.permutations
-    config = factory(master_seed=args.seed, **overrides)
+    return factory(master_seed=args.seed, **overrides)
 
+
+def _cmd_power_study(args, config: StudyConfig) -> int:
     def progress(cell):
         sys.stdout.write(
             f"{cell.distribution:>6}  n={cell.n:<4d} lambda={cell.snr:<4g} "
@@ -181,7 +190,7 @@ def _cmd_power_study(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, _config: None) -> int:
     composite = random_composite(args.distribution, args.n, args.snr, args.seed)
     lines = [repr(float(value)) for value in composite.series.values]
     text = "\n".join(lines) + "\n"
@@ -200,13 +209,18 @@ def _cmd_simulate(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "test": _cmd_test,
-        "power-study": _cmd_power_study,
-        "simulate": _cmd_simulate,
+    commands = {
+        "test": (_test_plan, _cmd_test),
+        "power-study": (_study_config, _cmd_power_study),
+        "simulate": (lambda args: None, _cmd_simulate),
     }
+    configure, run = commands[args.command]
     try:
-        return handlers[args.command](args)
+        config = configure(args)
+    except ValueError as error:
+        parser.error(str(error))
+    try:
+        return run(args, config)
     except (ValueError, OSError) as error:
         sys.stderr.write(f"error: {error}\n")
         return 1

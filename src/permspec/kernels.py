@@ -1,136 +1,28 @@
-"""Hot-loop kernels: permutation-null MSI batches.
+"""Hot-loop kernel: the MSI of every permuted copy of a series.
 
-The permutation engine recomputes a spectrum per permutation, which is
-where essentially all the runtime of a test (and of the power study)
-goes.  Two interchangeable implementations are provided:
-
-* ``numpy`` -- batched real FFT over the whole permutation matrix;
-* ``native`` -- a compiled extension that fuses the gather, a direct
-  half-spectrum transform against precomputed trig tables, and the max
-  reduction, row by row.
-
-The default ``auto`` mode routes short series to the native kernel and
-long ones to the FFT (the direct transform is O(n^2) per row, so it wins
-only up to the measured crossover length).  Set ``PERMSPEC_BACKEND`` to
-``numpy`` or ``native`` to force one.  Both are deterministic given
-identical inputs; across backends the MSI values agree to floating-point
-rounding (the transforms associate differently), not bit for bit.
+The permutation engine recomputes a spectrum per permutation, so this is
+the inner loop of a test and of the power study.  One batched FFT over
+the whole permutation matrix serves real and complex series alike.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from . import _native
-except ImportError:
-    _native = None
-
-_MODES = ("auto", "native", "numpy")
-
-# Crossover measured with benchmarks/bench_kernels.py: the direct kernel
-# beats the batched FFT up to roughly this length and falls behind after.
-AUTO_NATIVE_MAX_N = 48
-
-
-def _initial_mode() -> str:
-    forced = os.environ.get("PERMSPEC_BACKEND", "").strip().lower()
-    if not forced:
-        return "auto"
-    if forced not in _MODES:
-        raise ValueError(
-            f"PERMSPEC_BACKEND must be one of {_MODES}, got {forced!r}"
-        )
-    if forced == "native" and _native is None:
-        raise ImportError(
-            "PERMSPEC_BACKEND=native but the compiled extension is not available"
-        )
-    return forced
-
-
-_mode = _initial_mode()
-
-
-def active_backend() -> str:
-    """Current dispatch mode: 'auto', 'native', or 'numpy'."""
-    return _mode
-
-
-def available_backends() -> tuple[str, ...]:
-    return _MODES if _native is not None else ("auto", "numpy")
-
-
-def set_backend(name: str) -> None:
-    global _mode
-    if name not in _MODES:
-        raise ValueError(f"unknown backend {name!r}, expected one of {_MODES}")
-    if name == "native" and _native is None:
-        raise ValueError("native backend requested but the extension is not built")
-    _mode = name
-
-
-def backend_for(n: int) -> str:
-    """Implementation a call with series length ``n`` will use."""
-    if _mode == "auto":
-        if _native is not None and n <= AUTO_NATIVE_MAX_N:
-            return "native"
-        return "numpy"
-    return _mode
-
-
-_trig_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _trig_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables for the half spectrum, shape (n // 2, n)."""
-    cached = _trig_cache.get(n)
-    if cached is None:
-        k = np.arange(1, n // 2 + 1)[:, None]
-        t = np.arange(n)[None, :]
-        angle = 2.0 * np.pi * k * t / n
-        cached = (np.ascontiguousarray(np.cos(angle)), np.ascontiguousarray(np.sin(angle)))
-        if len(_trig_cache) > 64:
-            _trig_cache.clear()
-        _trig_cache[n] = cached
-    return cached
-
-
-def null_msi_numpy(centered: np.ndarray, perms: np.ndarray, scale: float) -> np.ndarray:
-    """MSI of each permuted copy of a real centered series.
-
-    ``scale`` is ``1 / (sqrt(n) * s)``; by conjugate symmetry the max over
-    all non-zero frequencies equals the max over the rfft half spectrum.
-    """
-    spectrum = np.fft.rfft(centered[perms], axis=1)
-    return np.abs(spectrum[:, 1:]).max(axis=1) * scale
-
-
-def null_msi_native(centered: np.ndarray, perms: np.ndarray, scale: float) -> np.ndarray:
-    cos_table, sin_table = _trig_tables(centered.size)
-    out = np.empty(perms.shape[0])
-    _native.null_msi(
-        np.ascontiguousarray(centered),
-        np.ascontiguousarray(perms, dtype=np.int64),
-        cos_table,
-        sin_table,
-        scale,
-        out,
-    )
-    return out
-
 
 def null_msi(centered: np.ndarray, perms: np.ndarray, scale: float) -> np.ndarray:
-    if backend_for(centered.size) == "native":
-        return null_msi_native(centered, perms, scale)
-    return null_msi_numpy(centered, perms, scale)
+    """MSI of each permuted copy of a centered series, one per row of ``perms``.
 
-
-def null_msi_complex(centered: np.ndarray, perms: np.ndarray, scale: float) -> np.ndarray:
-    """Complex-series variant: full spectrum, numpy only."""
-    spectrum = np.fft.fft(centered[perms], axis=1)
+    ``scale`` is ``1 / (sqrt(n) * s)``.  For real input the max over all
+    non-zero frequencies equals the max over the rfft half spectrum by
+    conjugate symmetry; complex input needs the full spectrum.
+    """
+    transform = np.fft.fft if np.iscomplexobj(centered) else np.fft.rfft
+    # pass the gathered rows as a temporary: they are freed when the
+    # transform returns, before the moduli are allocated (peak memory)
+    spectrum = transform(centered[perms], axis=1)
     return np.abs(spectrum[:, 1:]).max(axis=1) * scale
 
 

@@ -14,7 +14,6 @@ from statistics import NormalDist
 import numpy as np
 
 from . import kernels, rng
-from .errors import DegenerateSeriesError
 from .series import as_time_series
 from .spectral import SpectrumAnalysis, analyze_spectrum
 
@@ -83,16 +82,10 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     are computed once and shared across all simulations.
     """
     ts = as_time_series(series)
-    centered = ts.values - ts.values.mean()
-    sum_sq = float(np.real(np.vdot(centered, centered)))
-    if sum_sq == 0.0:
-        raise DegenerateSeriesError("constant series: the MSI is undefined")
-    scale = kernels.msi_scale(ts.n, sum_sq / (ts.n - 1))
+    centered, variance = ts.spread()
+    scale = kernels.msi_scale(ts.n, variance)
     perms = plan.permutation_matrix(ts.n)
-    if ts.is_complex:
-        values = kernels.null_msi_complex(centered, perms, scale)
-    else:
-        values = kernels.null_msi(centered, perms, scale)
+    values = kernels.null_msi(centered, perms, scale)
     return NullDistribution(msi_values=values, plan=plan)
 
 
@@ -111,6 +104,12 @@ def p_value(observed_msi: float, null: NullDistribution) -> float:
     return exceedance_count(observed_msi, null) / null.n_permutations
 
 
+def check_confidence(confidence: float) -> None:
+    """Reject a confidence level outside the open interval (0, 1)."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+
+
 def wilson_interval(
     successes: int, trials: int, confidence: float = 0.95
 ) -> tuple[float, float]:
@@ -119,8 +118,7 @@ def wilson_interval(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, {trials}], got {successes}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    check_confidence(confidence)
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials

@@ -10,10 +10,12 @@ in the grid, so cells can be computed in any order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
-from .permutation import PermutationPlan, run_test, wilson_interval
+from .permutation import PermutationPlan, check_confidence, run_test, wilson_interval
 from .rng import seed_chain
+from .series import MIN_LENGTH
 from .signals import DISTRIBUTIONS, random_composite
 
 _DISTRIBUTION_IDS = {name: index + 1 for index, name in enumerate(DISTRIBUTIONS)}
@@ -53,10 +55,27 @@ class StudyConfig:
         for name in self.distributions:
             if name not in DISTRIBUTIONS:
                 raise ValueError(f"unknown noise distribution {name!r}")
+        # equal values share a cell seed, so they would repeat a cell
+        for label, values in (
+            ("distribution", self.distributions),
+            ("n", self.n_values),
+            ("lambda", self.snr_values),
+        ):
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {label} values in {values}")
+        for n in self.n_values:
+            if n < MIN_LENGTH:
+                raise ValueError(f"series length n must be >= {MIN_LENGTH}, got {n}")
+        for snr in self.snr_values:
+            if not (math.isfinite(snr) and snr >= 0.0):
+                raise ValueError(f"lambda must be finite and >= 0, got {snr}")
         if self.replicates < 1 or self.permutations < 1:
             raise ValueError("replicates and permutations must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_confidence(self.confidence)
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must fit in 64 unsigned bits")
 
     def cell_seed(self, distribution: str, n: int, snr: float) -> int:
         snr_index = self.snr_values.index(snr)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateSeriesError
+
 MIN_LENGTH = 3  # shortest series with a usable non-zero frequency and variance
 
 
@@ -50,10 +52,33 @@ class TimeSeries:
     def mean(self) -> complex | float:
         return self.values.mean()
 
+    def centered(self) -> tuple[np.ndarray, float]:
+        """Deviations from the sample mean, and their sample variance.
+
+        Every centred quantity in the package starts here.  The variance is
+        the mean squared modulus of the deviations with an n-1 denominator;
+        it is 0.0 for a constant series.
+        """
+        centered = self.values - self.values.mean()
+        sum_sq = float(np.real(np.vdot(centered, centered)))
+        return centered, sum_sq / (self.n - 1)
+
+    def spread(self) -> tuple[np.ndarray, float]:
+        """:meth:`centered`, for quantities scaled by the sample deviation.
+
+        Raises DegenerateSeriesError for a constant series, where every
+        scaled intensity is 0/0.
+        """
+        centered, variance = self.centered()
+        if variance == 0.0:
+            raise DegenerateSeriesError(
+                "constant series: sample variance is zero, scaled intensity undefined"
+            )
+        return centered, variance
+
     def sample_variance(self) -> float:
         """Mean squared deviation from the sample mean, n-1 denominator."""
-        centered = self.values - self.values.mean()
-        return float(np.real(np.vdot(centered, centered)) / (self.n - 1))
+        return self.centered()[1]
 
 
 def as_time_series(values) -> TimeSeries:

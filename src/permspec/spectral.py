@@ -19,8 +19,7 @@ from .series import as_time_series
 
 def center(series) -> np.ndarray:
     """Subtract the sample mean; the result sums to zero (up to rounding)."""
-    ts = as_time_series(series)
-    return ts.values - ts.values.mean()
+    return as_time_series(series).centered()[0]
 
 
 def dft_at(series, delta: float) -> complex:
@@ -31,7 +30,7 @@ def dft_at(series, delta: float) -> complex:
     forces an exact zero.
     """
     ts = as_time_series(series)
-    centered = ts.values - ts.values.mean()
+    centered = center(ts)
     t = np.arange(ts.n)
     phases = np.exp(-2j * np.pi * delta * t)
     return complex(np.sum(centered * phases) / math.sqrt(ts.n))
@@ -85,13 +84,7 @@ def analyze_spectrum(series) -> SpectrumAnalysis:
     """
     ts = as_time_series(series)
     n = ts.n
-    centered = ts.values - ts.values.mean()
-    sum_sq = float(np.real(np.vdot(centered, centered)))
-    if sum_sq == 0.0:
-        raise DegenerateSeriesError(
-            "constant series: sample variance is zero, scaled intensity undefined"
-        )
-    sample_variance = sum_sq / (n - 1)
+    centered, sample_variance = ts.spread()
     dft = np.fft.fft(centered) / math.sqrt(n)
     dft[0] = 0.0  # exact: centering kills the zero frequency analytically
     intensity = np.abs(dft)
@@ -126,11 +119,11 @@ def standardized_intensity(analysis: SpectrumAnalysis, sigma: float) -> np.ndarr
     return analysis.intensity / sigma
 
 
-def _real_values(series) -> tuple[np.ndarray, int]:
+def _real_centered(series) -> tuple[np.ndarray, int]:
     ts = as_time_series(series)
     if ts.is_complex:
         raise ValueError("autocovariances are defined for real series only")
-    return ts.values, ts.n
+    return center(ts), ts.n
 
 
 def autocovariance(series, lag: int) -> float:
@@ -139,10 +132,9 @@ def autocovariance(series, lag: int) -> float:
     Lag 0 therefore coincides with the sample variance.  The largest usable
     lag is ``n - 2``; beyond it the normaliser is no longer positive.
     """
-    values, n = _real_values(series)
+    centered, n = _real_centered(series)
     if not 0 <= lag <= n - 2:
         raise ValueError(f"lag must be in [0, {n - 2}], got {lag}")
-    centered = values - values.mean()
     return float(np.dot(centered[: n - lag], centered[lag:]) / (n - lag - 1))
 
 
@@ -159,8 +151,7 @@ class AutocorrelationProfile:
 
 
 def autocorrelation_profile(series) -> AutocorrelationProfile:
-    values, n = _real_values(series)
-    centered = values - values.mean()
+    centered, n = _real_centered(series)
     gamma = np.array(
         [np.dot(centered[: n - lag], centered[lag:]) / (n - lag - 1) for lag in range(n - 1)]
     )
@@ -205,9 +196,8 @@ def spectral_identity(series, delta: float) -> float:
     expansion directly; without it the identity with ``|dft_at|^2 / s^2``
     only holds asymptotically.
     """
-    values, n = _real_values(series)
+    centered, n = _real_centered(series)
     profile = autocorrelation_profile(series)
-    centered = values - values.mean()
     variance = profile.autocovariances[0]
 
     phi = min(1.0, max(-1.0, math.cos(2.0 * math.pi * delta)))  # guard rounding

@@ -162,3 +162,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["power-study", "--desk-scale", "--full-scale"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["test", "/nope.csv", "--permutations", "0"], "at least one permutation"),
+            (["test", "/nope.csv", "--seed", "-5"], "master_seed"),
+            (["test", "/nope.csv", "--confidence", "1.5"], "confidence"),
+            (["power-study", "--replicates", "0"], "replicates"),
+            (["power-study", "--permutations", "0"], "permutations"),
+            (["power-study", "--seed", "-5"], "master_seed"),
+        ],
+    )
+    def test_invalid_value_exits_two_before_any_io(self, argv, message, tmp_path, capsys):
+        # the test input does not exist and the results file must not appear:
+        # the flags are rejected before either is touched
+        out = tmp_path / "grid.jsonl"
+        if argv[0] == "power-study":
+            argv = argv + ["--out", str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -1,91 +1,35 @@
 import numpy as np
 import pytest
 
-from permspec import PermutationPlan, analyze_spectrum, kernels
+from oracles import naive_msi
+from permspec import PermutationPlan, kernels
 
-needs_native = pytest.mark.skipif(
-    "native" not in kernels.available_backends(),
-    reason="compiled kernel not built",
-)
+CASES = [(3, 40), (4, 40), (15, 100), (16, 100), (47, 60), (48, 60), (128, 30)]
 
 
-def make_case(n, m, seed=0):
+def make_case(n, m, is_complex, seed=0):
     generator = np.random.default_rng(seed)
     values = generator.standard_normal(n)
+    if is_complex:
+        values = values + 1j * generator.standard_normal(n)
     centered = values - values.mean()
-    variance = float(centered @ centered) / (n - 1)
+    variance = float(np.real(np.vdot(centered, centered))) / (n - 1)
     scale = kernels.msi_scale(n, variance)
     perms = PermutationPlan(master_seed=seed, n_permutations=m).permutation_matrix(n)
-    return centered, perms, scale
+    return values, centered, perms, scale
 
 
-@pytest.mark.parametrize("n,m", [(3, 40), (4, 40), (15, 100), (16, 100), (47, 60), (128, 30)])
-def test_numpy_kernel_matches_per_row_analysis(n, m):
-    centered, perms, scale = make_case(n, m, seed=n)
-    batch = kernels.null_msi_numpy(centered, perms, scale)
+@pytest.mark.parametrize(
+    "n,m,is_complex",
+    [pytest.param(n, m, False, id=f"{n}-{m}") for n, m in CASES]
+    + [pytest.param(n, m, True, id=f"{n}-{m}-complex") for n, m in CASES],
+)
+def test_numpy_kernel_matches_per_row_analysis(n, m, is_complex):
+    """Each row of the batched kernel equals the direct-summation MSI of
+    that permutation of the raw values."""
+    values, centered, perms, scale = make_case(n, m, is_complex, seed=n)
+    batch = kernels.null_msi(centered, perms, scale)
+    assert batch.shape == (m,)
     for row in range(0, m, max(1, m // 7)):
-        expected = analyze_spectrum(centered[perms[row]]).msi
-        assert batch[row] == pytest.approx(expected, rel=1e-12)
-
-
-@needs_native
-@pytest.mark.parametrize("n,m", [(3, 50), (8, 50), (31, 80), (60, 120), (241, 40)])
-def test_backends_agree(n, m):
-    centered, perms, scale = make_case(n, m, seed=100 + n)
-    a = kernels.null_msi_numpy(centered, perms, scale)
-    b = kernels.null_msi_native(centered, perms, scale)
-    np.testing.assert_allclose(a, b, rtol=1e-10)
-
-
-def test_complex_kernel_matches_per_row_analysis():
-    generator = np.random.default_rng(5)
-    values = generator.standard_normal(10) + 1j * generator.standard_normal(10)
-    centered = values - values.mean()
-    variance = float(np.real(np.vdot(centered, centered))) / 9
-    scale = kernels.msi_scale(10, variance)
-    perms = PermutationPlan(master_seed=3, n_permutations=30).permutation_matrix(10)
-    batch = kernels.null_msi_complex(centered, perms, scale)
-    for row in (0, 7, 29):
-        expected = analyze_spectrum(centered[perms[row]]).msi
-        assert batch[row] == pytest.approx(expected, rel=1e-12)
-
-
-def test_backend_selection_modes():
-    original = kernels.active_backend()
-    try:
-        kernels.set_backend("numpy")
-        assert kernels.backend_for(4) == "numpy"
-        assert kernels.backend_for(4096) == "numpy"
-        kernels.set_backend("auto")
-        assert kernels.backend_for(10_000) == "numpy"  # past the crossover
-        if "native" in kernels.available_backends():
-            assert kernels.backend_for(16) == "native"
-            kernels.set_backend("native")
-            assert kernels.backend_for(10_000) == "native"
-    finally:
-        kernels.set_backend(original)
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        kernels.set_backend("fortran")
-
-
-@needs_native
-def test_native_validates_shapes():
-    centered, perms, scale = make_case(12, 10)
-    from permspec import _native
-
-    cos_table, sin_table = kernels._trig_tables(12)
-    out = np.empty(9)  # wrong length
-    with pytest.raises(ValueError):
-        _native.null_msi(centered, perms, cos_table, sin_table, scale, out)
-
-
-def test_trig_tables_cached_and_correct():
-    cos_table, sin_table = kernels._trig_tables(9)
-    assert cos_table.shape == (4, 9)
-    again, _ = kernels._trig_tables(9)
-    assert again is cos_table
-    t = np.arange(9)
-    np.testing.assert_allclose(cos_table[2], np.cos(2 * np.pi * 3 * t / 9), atol=1e-15)
+        expected = naive_msi(list(values[perms[row]]))
+        assert batch[row] == pytest.approx(expected, rel=1e-11)

@@ -28,6 +28,32 @@ def tiny_config(**overrides):
     return StudyConfig(**defaults)
 
 
+class TestStudyConfigValidation:
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(distributions=("normal", "normal")), "duplicate distribution"),
+            (dict(n_values=(12, 30, 12)), "duplicate n"),
+            (dict(snr_values=(0.0, 0.4, 0.4)), "duplicate lambda"),
+            (dict(n_values=(2, 12)), "n must be >= 3"),
+            (dict(snr_values=(0.0, -0.5)), "lambda must be finite"),
+            (dict(snr_values=(0.0, float("inf"))), "lambda must be finite"),
+            (dict(snr_values=(float("nan"),)), "lambda must be finite"),
+            (dict(confidence=0.0), "confidence"),
+            (dict(confidence=1.5), "confidence"),
+            (dict(master_seed=-5), "master_seed"),
+            (dict(master_seed=2**64), "master_seed"),
+        ],
+    )
+    def test_rejected_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**overrides)
+
+    def test_seed_range_boundaries_accepted(self):
+        assert tiny_config(master_seed=0).master_seed == 0
+        assert tiny_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+
 class TestRunCell:
     def test_deterministic_given_cell_seed(self):
         kwargs = dict(distribution="normal", n=12, snr=0.5, replicates=25,
