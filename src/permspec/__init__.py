@@ -16,7 +16,6 @@ from .permutation import (
     empirical_cdf,
     exceedance_count,
     p_value,
-    random_permutation,
     run_test,
     simulate_null,
     summarize_test,
@@ -35,6 +34,7 @@ from .power import (
     save_table,
 )
 from .report import read_report, render_report, parse_report, write_report
+from .rng import random_permutation
 from .series import TimeSeries, as_time_series
 from .signals import (
     CompositeSeries,

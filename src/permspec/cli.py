@@ -24,7 +24,8 @@ from .plotting import render_plot
 from .power import StudyConfig, desk_scale_config, full_scale_config, run_grid, save_table
 from .report import render_report, write_report
 from .series import MIN_LENGTH, TimeSeries
-from .signals import DISTRIBUTIONS, random_composite
+from .rng import check_seed
+from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, random_composite
 from .spectral import analyze_spectrum
 
 
@@ -190,8 +191,14 @@ def _cmd_power_study(args, config: StudyConfig) -> int:
     return 0
 
 
-def _cmd_simulate(args, _config: None) -> int:
-    composite = random_composite(args.distribution, args.n, args.snr, args.seed)
+def _simulate_spec(args) -> NoiseSpec:
+    check_snr(args.snr)
+    check_seed(args.seed)
+    return NoiseSpec(distribution=args.distribution, n=args.n)
+
+
+def _cmd_simulate(args, spec: NoiseSpec) -> int:
+    composite = random_composite(spec.distribution, spec.n, args.snr, args.seed)
     lines = [repr(float(value)) for value in composite.series.values]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -212,7 +219,7 @@ def main(argv=None) -> int:
     commands = {
         "test": (_test_plan, _cmd_test),
         "power-study": (_study_config, _cmd_power_study),
-        "simulate": (lambda args: None, _cmd_simulate),
+        "simulate": (_simulate_spec, _cmd_simulate),
     }
     configure, run = commands[args.command]
     try:

@@ -17,6 +17,9 @@ from . import kernels, rng
 from .series import as_time_series
 from .spectral import SpectrumAnalysis, analyze_spectrum
 
+# Relative tie tolerance of the exceedance count, as in scipy.stats.permutation_test.
+TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True)
 class PermutationPlan:
@@ -35,8 +38,7 @@ class PermutationPlan:
             raise ValueError(
                 f"need at least one permutation, got {self.n_permutations}"
             )
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
+        rng.check_seed(self.master_seed)
 
     def simulation_seeds(self) -> np.ndarray:
         return rng.substream_seeds(self.master_seed, self.n_permutations)
@@ -44,11 +46,6 @@ class PermutationPlan:
     def permutation_matrix(self, n: int) -> np.ndarray:
         """All permutations for this plan, one per row, shape (M, n)."""
         return rng.permutation_rows(n, self.simulation_seeds())
-
-
-def random_permutation(n: int, seed: int) -> np.ndarray:
-    """Uniform random permutation of ``range(n)`` (Fisher-Yates, seeded)."""
-    return rng.random_permutation(n, seed)
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,10 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     are computed once and shared across all simulations.
     """
     ts = as_time_series(series)
-    centered, variance = ts.spread()
+    unit, variance, _ = ts.spread()
     scale = kernels.msi_scale(ts.n, variance)
     perms = plan.permutation_matrix(ts.n)
-    values = kernels.null_msi(centered, perms, scale)
+    values = kernels.null_msi(unit, perms, scale)
     return NullDistribution(msi_values=values, plan=plan)
 
 
@@ -95,8 +92,14 @@ def empirical_cdf(null: NullDistribution, s: float) -> float:
 
 
 def exceedance_count(observed_msi: float, null: NullDistribution) -> int:
-    """Number of simulated MSI values >= the observed one (ties included)."""
-    return int(np.count_nonzero(null.msi_values >= observed_msi))
+    """Number of simulated MSI values >= the observed one, ties included.
+
+    Values within ``TIE_TOLERANCE`` below count as tied: rearrangements
+    that leave the MSI unchanged (reversal, cyclic shifts, swaps of equal
+    values) reach it through a different rounding order.
+    """
+    threshold = observed_msi - TIE_TOLERANCE * abs(observed_msi)
+    return int(np.count_nonzero(null.msi_values >= threshold))
 
 
 def p_value(observed_msi: float, null: NullDistribution) -> float:

@@ -10,13 +10,13 @@ in the grid, so cells can be computed in any order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from .permutation import PermutationPlan, check_confidence, run_test, wilson_interval
-from .rng import seed_chain
+from .report import from_record, to_record
+from .rng import check_seed, seed_chain
 from .series import MIN_LENGTH
-from .signals import DISTRIBUTIONS, random_composite
+from .signals import DISTRIBUTIONS, check_snr, random_composite
 
 _DISTRIBUTION_IDS = {name: index + 1 for index, name in enumerate(DISTRIBUTIONS)}
 
@@ -52,6 +52,9 @@ class StudyConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        # the grids may arrive as lists, e.g. read back from a results file
+        for name in ("distributions", "n_values", "snr_values"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in self.distributions:
             if name not in DISTRIBUTIONS:
                 raise ValueError(f"unknown noise distribution {name!r}")
@@ -67,15 +70,13 @@ class StudyConfig:
             if n < MIN_LENGTH:
                 raise ValueError(f"series length n must be >= {MIN_LENGTH}, got {n}")
         for snr in self.snr_values:
-            if not (math.isfinite(snr) and snr >= 0.0):
-                raise ValueError(f"lambda must be finite and >= 0, got {snr}")
+            check_snr(snr)
         if self.replicates < 1 or self.permutations < 1:
             raise ValueError("replicates and permutations must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         check_confidence(self.confidence)
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
+        check_seed(self.master_seed)
 
     def cell_seed(self, distribution: str, n: int, snr: float) -> int:
         snr_index = self.snr_values.index(snr)
@@ -192,53 +193,39 @@ def run_grid(config: StudyConfig, progress=None) -> PowerTable:
 
 POWER_SCHEMA = "permspec-power/1"
 
-_CELL_FIELDS = (
-    "distribution",
-    "n",
-    "lambda",
-    "K",
-    "M",
-    "alpha",
-    "rejections",
-    "power",
-    "wilson_low",
-    "wilson_high",
-    "cell_seed",
-)
-
-
-def _cell_record(cell: PowerCell) -> dict:
-    return {
-        "distribution": cell.distribution,
-        "n": cell.n,
-        "lambda": cell.snr,
-        "K": cell.replicates,
-        "M": cell.permutations,
-        "alpha": cell.alpha,
-        "rejections": cell.rejections,
-        "power": cell.power,
-        "wilson_low": cell.wilson_low,
-        "wilson_high": cell.wilson_high,
-        "cell_seed": cell.cell_seed,
-    }
+# file key -> attribute maps: the one field list that both writes and reads
+# the header line and the cell records
+_HEADER_FIELDS = {
+    "master_seed": "master_seed",
+    "distributions": "distributions",
+    "n_values": "n_values",
+    "lambda_values": "snr_values",
+    "K": "replicates",
+    "M": "permutations",
+    "alpha": "alpha",
+    "confidence": "confidence",
+}
+_CELL_FIELDS = {
+    "distribution": "distribution",
+    "n": "n",
+    "lambda": "snr",
+    "K": "replicates",
+    "M": "permutations",
+    "alpha": "alpha",
+    "rejections": "rejections",
+    "power": "power",
+    "wilson_low": "wilson_low",
+    "wilson_high": "wilson_high",
+    "cell_seed": "cell_seed",
+}
 
 
 def render_table(table: PowerTable) -> str:
     """Results file text: a schema header line, then one JSON record per cell."""
-    header = {
-        "schema": POWER_SCHEMA,
-        "master_seed": table.config.master_seed,
-        "distributions": list(table.config.distributions),
-        "n_values": list(table.config.n_values),
-        "lambda_values": list(table.config.snr_values),
-        "K": table.config.replicates,
-        "M": table.config.permutations,
-        "alpha": table.config.alpha,
-        "confidence": table.config.confidence,
-    }
+    header = {"schema": POWER_SCHEMA, **to_record(table.config, _HEADER_FIELDS)}
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(
-        json.dumps(_cell_record(cell), sort_keys=True) for cell in table.cells
+        json.dumps(to_record(cell, _CELL_FIELDS), sort_keys=True) for cell in table.cells
     )
     return "\n".join(lines) + "\n"
 
@@ -248,64 +235,20 @@ def save_table(table: PowerTable, path) -> None:
         handle.write(render_table(table))
 
 
-def _parse_header(line: str) -> StudyConfig:
-    header = json.loads(line)
-    if header.get("schema") != POWER_SCHEMA:
-        raise ValueError(
-            f"unsupported results schema {header.get('schema')!r}, expected {POWER_SCHEMA!r}"
-        )
-    for key in (
-        "master_seed",
-        "distributions",
-        "n_values",
-        "lambda_values",
-        "K",
-        "M",
-        "alpha",
-        "confidence",
-    ):
-        if key not in header:
-            raise ValueError(f"results header is missing field {key!r}")
-    return StudyConfig(
-        distributions=tuple(header["distributions"]),
-        n_values=tuple(header["n_values"]),
-        snr_values=tuple(header["lambda_values"]),
-        replicates=header["K"],
-        permutations=header["M"],
-        alpha=header["alpha"],
-        confidence=header["confidence"],
-        master_seed=header["master_seed"],
-    )
-
-
 def load_table(path) -> PowerTable:
     """Parse a results file back into a PowerTable, validating the schema."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line for line in handle.read().splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty results file")
-    config = _parse_header(lines[0])
-    cells = []
-    for index, line in enumerate(lines[1:], start=1):
-        record = json.loads(line)
-        for fieldname in _CELL_FIELDS:
-            if fieldname not in record:
-                raise ValueError(
-                    f"cell record {index} is missing field {fieldname!r}"
-                )
-        cells.append(
-            PowerCell(
-                distribution=record["distribution"],
-                n=record["n"],
-                snr=record["lambda"],
-                replicates=record["K"],
-                permutations=record["M"],
-                alpha=record["alpha"],
-                rejections=record["rejections"],
-                power=record["power"],
-                wilson_low=record["wilson_low"],
-                wilson_high=record["wilson_high"],
-                cell_seed=record["cell_seed"],
-            )
+    header = json.loads(lines[0])
+    if header.get("schema") != POWER_SCHEMA:
+        raise ValueError(
+            f"unsupported results schema {header.get('schema')!r}, expected {POWER_SCHEMA!r}"
         )
-    return PowerTable(config=config, cells=tuple(cells))
+    config = from_record(StudyConfig, header, _HEADER_FIELDS, "results header")
+    cells = tuple(
+        from_record(PowerCell, json.loads(line), _CELL_FIELDS, f"cell record {index}")
+        for index, line in enumerate(lines[1:], start=1)
+    )
+    return PowerTable(config=config, cells=cells)

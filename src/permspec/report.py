@@ -14,34 +14,37 @@ from .permutation import TestResult
 
 REPORT_SCHEMA = "permspec-test-report/1"
 
-_FIELDS = (
-    "observed_msi",
-    "peak_frequency",
-    "p_value",
-    "wilson_low",
-    "wilson_high",
-    "exceedances",
-    "permutations",
-    "master_seed",
-    "n",
-    "confidence",
-)
+# report key -> TestResult attribute: the one field list that both writes
+# and reads the format
+_FIELDS = {
+    "observed_msi": "observed_msi",
+    "peak_frequency": "peak_frequency",
+    "p_value": "p_value",
+    "wilson_low": "wilson_low",
+    "wilson_high": "wilson_high",
+    "exceedances": "exceedances",
+    "permutations": "n_permutations",
+    "master_seed": "master_seed",
+    "n": "n",
+    "confidence": "confidence",
+}
+
+
+def to_record(obj, fields: dict[str, str]) -> dict:
+    """The JSON record of ``obj`` through a file key -> attribute map."""
+    return {key: getattr(obj, attribute) for key, attribute in fields.items()}
+
+
+def from_record(cls, record: dict, fields: dict[str, str], what: str):
+    """Build ``cls`` from a parsed JSON record through the same map."""
+    for key in fields:
+        if key not in record:
+            raise ValueError(f"{what} is missing field {key!r}")
+    return cls(**{attribute: record[key] for key, attribute in fields.items()})
 
 
 def render_report(result: TestResult) -> str:
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "observed_msi": result.observed_msi,
-        "peak_frequency": result.peak_frequency,
-        "p_value": result.p_value,
-        "wilson_low": result.wilson_low,
-        "wilson_high": result.wilson_high,
-        "exceedances": result.exceedances,
-        "permutations": result.n_permutations,
-        "master_seed": result.master_seed,
-        "n": result.n,
-        "confidence": result.confidence,
-    }
+    payload = {"schema": REPORT_SCHEMA, **to_record(result, _FIELDS)}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -56,21 +59,7 @@ def parse_report(text: str) -> TestResult:
         raise ValueError(
             f"unsupported report schema {payload.get('schema')!r}, expected {REPORT_SCHEMA!r}"
         )
-    for name in _FIELDS:
-        if name not in payload:
-            raise ValueError(f"report is missing field {name!r}")
-    return TestResult(
-        observed_msi=payload["observed_msi"],
-        peak_frequency=payload["peak_frequency"],
-        p_value=payload["p_value"],
-        wilson_low=payload["wilson_low"],
-        wilson_high=payload["wilson_high"],
-        exceedances=payload["exceedances"],
-        n_permutations=payload["permutations"],
-        master_seed=payload["master_seed"],
-        n=payload["n"],
-        confidence=payload["confidence"],
-    )
+    return from_record(TestResult, payload, _FIELDS, "report")
 
 
 def read_report(path) -> TestResult:

@@ -29,6 +29,12 @@ _MIX_A = _U64(0xBF58476D1CE4E5B9)
 _MIX_B = _U64(0x94D049BB133111EB)
 
 
+def check_seed(seed: int) -> None:
+    """Reject a master seed outside the 64-bit unsigned range."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("master_seed must fit in 64 unsigned bits")
+
+
 def mix64(value: int) -> int:
     """splitmix64 finalizer on a Python int, reduced mod 2**64."""
     z = value & _MASK64

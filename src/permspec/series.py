@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,32 +55,49 @@ class TimeSeries:
         return self.values.mean()
 
     def centered(self) -> tuple[np.ndarray, float]:
-        """Deviations from the sample mean, and their sample variance.
+        """Deviations from the sample mean, and their sample variance (mean
+        squared modulus, n-1 denominator; 0.0 for a constant series): the
+        arithmetic of :meth:`spread`, in data units."""
+        unit, variance, exponent = self._unit_spread
+        with np.errstate(over="ignore"):  # beyond the float range reads inf
+            return times_power_of_two(unit, exponent), float(np.ldexp(variance, 2 * exponent))
 
-        Every centred quantity in the package starts here.  The variance is
-        the mean squared modulus of the deviations with an n-1 denominator;
-        it is 0.0 for a constant series.
+    def spread(self) -> tuple[np.ndarray, float, int]:
+        """``(unit, variance, exponent)``: the deviations are ``unit *
+        2**exponent`` and their variance ``variance * 4**exponent``.
+
+        Every centred quantity in the package starts here.  The exponent is
+        that of the largest value, so no sum over- or underflows at any
+        finite magnitude, and the exact power-of-two scaling keeps every
+        bit of scale-free quantities.  Raises DegenerateSeriesError for a
+        constant series, where every scaled intensity is 0/0.
         """
-        centered = self.values - self.values.mean()
-        sum_sq = float(np.real(np.vdot(centered, centered)))
-        return centered, sum_sq / (self.n - 1)
-
-    def spread(self) -> tuple[np.ndarray, float]:
-        """:meth:`centered`, for quantities scaled by the sample deviation.
-
-        Raises DegenerateSeriesError for a constant series, where every
-        scaled intensity is 0/0.
-        """
-        centered, variance = self.centered()
+        unit, variance, exponent = self._unit_spread
         if variance == 0.0:
             raise DegenerateSeriesError(
                 "constant series: sample variance is zero, scaled intensity undefined"
             )
-        return centered, variance
+        return unit, variance, exponent
+
+    @cached_property
+    def _unit_spread(self) -> tuple[np.ndarray, float, int]:
+        # once per series: a test needs it for the observed MSI and the null
+        largest = np.abs(self.values.view(np.float64)).max()  # real and imaginary parts
+        exponent = math.frexp(largest)[1]
+        values = times_power_of_two(self.values, -exponent)
+        unit = values - values.mean()
+        unit.flags.writeable = False
+        return unit, float(np.real(np.vdot(unit, unit))) / (self.n - 1), exponent
 
     def sample_variance(self) -> float:
         """Mean squared deviation from the sample mean, n-1 denominator."""
         return self.centered()[1]
+
+
+def times_power_of_two(values: np.ndarray, exponent: int) -> np.ndarray:
+    """``values * 2**exponent`` for a real or complex array: exact unless the
+    result leaves the normal float range (inf, or lost low bits)."""
+    return np.ldexp(values.view(np.float64), exponent).view(values.dtype)
 
 
 def as_time_series(values) -> TimeSeries:

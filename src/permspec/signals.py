@@ -8,6 +8,7 @@ absolute values).  ``snr = 0`` is the exchangeable null.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,12 @@ from .rng import philox_generator
 from .series import MIN_LENGTH, TimeSeries
 
 DISTRIBUTIONS = ("normal", "t2")
+
+
+def check_snr(snr: float) -> None:
+    """Reject a signal-to-noise ratio lambda that is not finite and >= 0."""
+    if not (math.isfinite(snr) and snr >= 0.0):
+        raise ValueError(f"lambda must be finite and >= 0, got {snr}")
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,7 @@ def random_composite(
     the replicate.  The frequency is uniform on the open interval (0, 1/2);
     the boundary draw has probability ~2**-53 and is rejected.
     """
+    check_snr(snr)
     spec = NoiseSpec(distribution=distribution, n=n)
     generator = philox_generator(seed)
     frequency = generator.uniform(0.0, 0.5)

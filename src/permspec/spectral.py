@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import DegenerateSeriesError
-from .series import as_time_series
+from .series import as_time_series, times_power_of_two
 
 
 def center(series) -> np.ndarray:
@@ -79,26 +80,32 @@ class SpectrumAnalysis:
 def analyze_spectrum(series) -> SpectrumAnalysis:
     """Full spectrum of one series: DFT, intensities, and MSI.
 
-    Raises DegenerateSeriesError for a constant series, where the scaled
-    intensity is 0/0.
+    The scaled intensities and the MSI are the permutation null's kernel
+    arithmetic; for a real series the bins above 1/2 are the exact
+    conjugates of those below.  Raises DegenerateSeriesError for a
+    constant series, where the scaled intensity is 0/0.
     """
     ts = as_time_series(series)
     n = ts.n
-    centered, sample_variance = ts.spread()
-    dft = np.fft.fft(centered) / math.sqrt(n)
-    dft[0] = 0.0  # exact: centering kills the zero frequency analytically
-    intensity = np.abs(dft)
-    scaled = intensity / math.sqrt(sample_variance)
+    unit, unit_variance, exponent = ts.spread()
+    raw = kernels.transform(unit)
+    raw[0] = 0.0  # exact: centering kills the zero frequency analytically
+    if not ts.is_complex:
+        raw = np.concatenate([raw, raw[(n + 1) // 2 - 1 : 0 : -1].conj()])
+    scaled = np.abs(raw) * kernels.msi_scale(n, unit_variance)
+    with np.errstate(over="ignore"):  # beyond the float range reads inf
+        dft = times_power_of_two(raw / math.sqrt(n), exponent)
+        sample_variance = float(np.ldexp(unit_variance, 2 * exponent))
     peak_index = 1 + int(np.argmax(scaled[1:]))
     analysis = SpectrumAnalysis(
         dft=dft,
-        intensity=intensity,
+        intensity=np.abs(dft),
         scaled_intensity=scaled,
         sample_variance=sample_variance,
         msi=float(scaled[peak_index]),
         peak_index=peak_index,
     )
-    for arr in (dft, intensity, scaled):
+    for arr in (analysis.dft, analysis.intensity, analysis.scaled_intensity):
         arr.flags.writeable = False
     return analysis
 

@@ -172,13 +172,17 @@ class TestUsageErrors:
             (["power-study", "--replicates", "0"], "replicates"),
             (["power-study", "--permutations", "0"], "permutations"),
             (["power-study", "--seed", "-5"], "master_seed"),
+            (["simulate", "--n", "2"], "n >= 3"),
+            (["simulate", "--snr", "-1"], "lambda"),
+            (["simulate", "--snr", "nan"], "lambda"),
+            (["simulate", "--seed", "-5"], "master_seed"),
         ],
     )
     def test_invalid_value_exits_two_before_any_io(self, argv, message, tmp_path, capsys):
-        # the test input does not exist and the results file must not appear:
+        # the test input does not exist and the output file must not appear:
         # the flags are rejected before either is touched
-        out = tmp_path / "grid.jsonl"
-        if argv[0] == "power-study":
+        out = tmp_path / "out"
+        if argv[0] != "test":
             argv = argv + ["--out", str(out)]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

@@ -8,7 +8,9 @@ from permspec import (
     DegenerateSeriesError,
     NullDistribution,
     PermutationPlan,
+    TimeSeries,
     empirical_cdf,
+    exceedance_count,
     gen_sinusoid,
     p_value,
     random_permutation,
@@ -17,6 +19,8 @@ from permspec import (
     summarize_test,
     wilson_interval,
 )
+from permspec import kernels
+from permspec.rng import philox_generator
 from permspec.spectral import analyze_spectrum
 
 from oracles import exhaustive_null_msi, wilson_interval_mp
@@ -131,6 +135,44 @@ class TestPValue:
         null = small_null([1.0, 2.0, 3.0, 4.0])
         for observed in (0.0, 1.5, 2.5, 3.5, 9.0):
             assert p_value(observed, null) in {0.0, 0.25, 0.5, 0.75, 1.0}
+
+
+class TestTies:
+    """Rearrangements that leave the MSI mathematically unchanged count as
+    exceedances of the observed value, whatever their rounding."""
+
+    @pytest.mark.parametrize(
+        "rearrange",
+        [
+            lambda order: order,
+            lambda order: order[::-1],
+            lambda order: np.roll(order, 1),
+            lambda order: np.roll(order, len(order) // 3),
+        ],
+        ids=["identity", "reversal", "shift-1", "shift-third"],
+    )
+    def test_tied_rearrangement_is_an_exceedance(self, rearrange):
+        generator = np.random.default_rng(31)
+        for n in range(3, 80):
+            values = np.round(generator.standard_normal(n), 1)
+            centered, variance = TimeSeries(values).centered()
+            perms = rearrange(np.arange(n))[None]
+            tied = kernels.null_msi(centered, perms, kernels.msi_scale(n, variance))
+            null = NullDistribution(msi_values=tied, plan=PermutationPlan(0, 1))
+            assert exceedance_count(analyze_spectrum(values).msi, null) == 1, n
+
+    def test_binary_series_null_size(self):
+        """On exchangeable 0/1 data, where exact ties are everywhere, the
+        rejection rate at alpha = 0.05 is not significantly above alpha."""
+        alpha, count, rejections = 0.05, 2000, 0
+        for index in range(count):
+            values = philox_generator(2024, index).integers(0, 2, 20).astype(float)
+            if values.min() == values.max():
+                continue  # constant: no test
+            plan = PermutationPlan(master_seed=index, n_permutations=500)
+            rejections += run_test(values, plan).p_value <= alpha
+        low, _ = wilson_interval(rejections, count, 0.95)
+        assert low <= alpha, rejections / count
 
 
 class TestWilsonInterval:

@@ -159,3 +159,8 @@ class TestRandomComposite:
         generator = philox_generator(12)
         generator.uniform(0.0, 0.5)  # the frequency draw comes first
         np.testing.assert_array_equal(composite.series.values, gen_noise(spec, generator))
+
+    @pytest.mark.parametrize("snr", [-1.0, float("nan"), float("inf")])
+    def test_rejects_invalid_lambda(self, snr):
+        with pytest.raises(ValueError, match="lambda"):
+            random_composite("normal", 30, snr, seed=1)
