@@ -2,7 +2,7 @@
 
 The observed series and its permuted copies share it, so the identity
 permutation reproduces the observed MSI bit for bit.  ``null_msi``, one
-batched FFT over the permutation matrix, is the inner loop of a test.
+batched FFT over the permuted rows, is the inner loop of a test.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ def transform(values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(values, axis=-1)
 
 
-def null_msi(centered: np.ndarray, perms: np.ndarray, scale: float) -> np.ndarray:
-    """MSI of each permuted copy of a centered series, one per row of ``perms``.
+def null_msi(rows: np.ndarray, scale: float) -> np.ndarray:
+    """MSI of each row, a permuted copy of a centered series.
 
     ``scale`` is :func:`msi_scale` of the series.  For real input the max
     over all non-zero frequencies equals the max over the half spectrum by
     conjugate symmetry.
     """
-    # pass the gathered rows as a temporary: they are freed when the
-    # transform returns, before the moduli are allocated (peak memory)
-    spectrum = transform(centered[perms])
+    spectrum = transform(rows)
     return np.abs(spectrum[:, 1:]).max(axis=1) * scale
 
 

@@ -20,6 +20,10 @@ from .spectral import SpectrumAnalysis, analyze_spectrum
 # Relative tie tolerance of the exceedance count, as in scipy.stats.permutation_test.
 TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
 
+# Bytes of permuted rows simulate_null holds at once: memory stays flat in
+# the number of permutations, and M=1000 rows of n=5000 take one block.
+ROW_BLOCK_BYTES = 64 << 20
+
 
 @dataclass(frozen=True)
 class PermutationPlan:
@@ -76,13 +80,20 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
 
     Deterministic given (series, plan); permutations never change the
     sample mean or variance, so the centered values and the scale factor
-    are computed once and shared across all simulations.
+    are computed once and shared across all simulations.  The centred
+    values themselves are shuffled, in blocks of at most
+    ``ROW_BLOCK_BYTES`` of rows; row m depends on its seed alone, so the
+    blocking changes no bit.
     """
     ts = as_time_series(series)
     unit, variance, _ = ts.spread()
     scale = kernels.msi_scale(ts.n, variance)
-    perms = plan.permutation_matrix(ts.n)
-    values = kernels.null_msi(unit, perms, scale)
+    seeds = plan.simulation_seeds()
+    rows_per_block = max(1, ROW_BLOCK_BYTES // unit.nbytes)
+    values = np.concatenate([
+        kernels.null_msi(rng.permutation_rows(unit, seeds[first:first + rows_per_block]), scale)
+        for first in range(0, seeds.size, rows_per_block)
+    ])
     return NullDistribution(msi_values=values, plan=plan)
 
 

@@ -28,6 +28,12 @@ _GOLDEN_U64 = _U64(GOLDEN)
 _MIX_A = _U64(0xBF58476D1CE4E5B9)
 _MIX_B = _U64(0x94D049BB133111EB)
 
+# Bytes of splitmix64 draws generated at once by permutation_rows: a block
+# of Fisher-Yates steps stays in cache whatever the number of rows.
+DRAW_BLOCK_BYTES = 1 << 20
+# Rows of the shuffled (n, rows) matrix transposed at once into the result.
+TRANSPOSE_TILE = 256
+
 
 def check_seed(seed: int) -> None:
     """Reject a master seed outside the 64-bit unsigned range."""
@@ -46,11 +52,17 @@ def mix64(value: int) -> int:
 def mix64_array(values: np.ndarray) -> np.ndarray:
     """Vectorised splitmix64 finalizer (uint64 in, uint64 out)."""
     z = values.astype(_U64, copy=True)
-    z ^= z >> _U64(30)
+    return _mix64_inplace(z, np.empty_like(z))
+
+
+def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of uint64 ``z`` in place; ``scratch`` is a work
+    buffer of the same shape."""
+    z ^= np.right_shift(z, _U64(30), out=scratch)
     z *= _MIX_A
-    z ^= z >> _U64(27)
+    z ^= np.right_shift(z, _U64(27), out=scratch)
     z *= _MIX_B
-    z ^= z >> _U64(31)
+    z ^= np.right_shift(z, _U64(31), out=scratch)
     return z
 
 
@@ -87,30 +99,67 @@ def substream_seeds(base_seed: int, count: int) -> np.ndarray:
     return mix64_array(_U64(base_seed & _MASK64) + offsets)
 
 
-def permutation_rows(n: int, row_seeds: np.ndarray) -> np.ndarray:
-    """One uniform random permutation of ``range(n)`` per row seed.
+def permutation_rows(values: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
+    """One uniformly shuffled copy of ``values`` per row seed.
 
-    Fisher-Yates, with row ``m`` driven by the splitmix64 counter stream of
-    ``row_seeds[m]``.  All rows are shuffled in lockstep, one swap position
-    per vectorised step.  The modulo draw carries a bias below
-    ``n / 2**64``, many orders of magnitude under anything observable.
+    Fisher-Yates: step i = n-1 .. 1 of row ``m`` swaps elements i and
+    ``draw % (i+1)``, where the draws are the splitmix64 counter stream of
+    ``row_seeds[m]`` (draw ``k`` drives step ``n - k``).  All rows are
+    shuffled in lockstep, one swap position per vectorised step, so row
+    ``m`` equals ``values[random_permutation(n, row_seeds[m])]``.  The modulo
+    draw carries a bias below ``n / 2**64``, many orders of magnitude under
+    anything observable.
 
-    Returns an ``(len(row_seeds), n)`` int64 array.
+    An integer ``values`` stands for ``np.arange(values)``, as in
+    ``np.random.permutation``: the rows are then index permutations.
+    Returns an ``(len(row_seeds), n)`` C-contiguous array of ``values``' dtype.
     """
-    if n < 1:
-        raise ValueError(f"permutation length must be >= 1, got {n}")
+    values = np.arange(values) if np.ndim(values) == 0 else np.asarray(values)
+    if values.ndim != 1 or values.size < 1:
+        raise ValueError(f"permutation length must be >= 1, got shape {values.shape}")
     seeds = np.asarray(row_seeds, dtype=_U64)
-    rows = seeds.shape[0]
-    counters = seeds[:, None] + _GOLDEN_U64 * np.arange(1, n, dtype=_U64)[None, :]
-    draws = mix64_array(counters)  # (rows, n-1): draw for steps i = n-1 .. 1
-    perm = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
-    row_index = np.arange(rows)
-    for step, i in enumerate(range(n - 1, 0, -1)):
-        j = (draws[:, step] % _U64(i + 1)).astype(np.intp)
-        swapped = perm[row_index, i].copy()
-        perm[row_index, i] = perm[row_index, j]
-        perm[row_index, j] = swapped
-    return perm
+    n, rows = values.size, seeds.size
+    # column m is row m of the result, so step i swaps the contiguous row
+    # work[i] with the elements at flat indices j*rows + m
+    work = np.empty((n, rows), dtype=values.dtype)
+    work[...] = values[:, None]
+    flat = work.reshape(-1)
+    held = np.empty(rows, dtype=values.dtype)
+    for top, targets in _swap_targets(seeds, n):
+        for i, target in zip(range(top, 0, -1), targets):
+            # the method skips np.take's dispatch, and "clip" its buffered
+            # bounds check: every index is in range by construction
+            flat.take(target, out=held, mode="clip")
+            flat[target] = work[i]
+            work[i] = held
+    # transpose in tiles of rows, which stay in cache while they are read
+    # column by column (a whole-matrix copy took twice as long at n=5000)
+    result = np.empty((rows, n), dtype=values.dtype)
+    for low in range(0, n, TRANSPOSE_TILE):
+        result[:, low : low + TRANSPOSE_TILE] = work[low : low + TRANSPOSE_TILE].T
+    return result
+
+
+def _swap_targets(seeds: np.ndarray, n: int):
+    """``(i, targets)`` per block of Fisher-Yates steps i, i-1, ...: at step
+    ``i - s``, column m swaps its element ``i - s`` with the one at flat
+    index ``targets[s, m] = j*rows + m``.  ``targets`` is overwritten by the
+    next block."""
+    rows = seeds.size
+    lanes = np.arange(rows, dtype=_U64)
+    steps_per_block = max(1, min(n - 1, DRAW_BLOCK_BYTES // (8 * max(rows, 1))))
+    # two buffers for all blocks: fresh large arrays would page-fault per block
+    block = np.empty((steps_per_block, rows), dtype=_U64)
+    scratch = np.empty_like(block)
+    for first in range(1, n, steps_per_block):
+        draw = np.arange(first, min(first + steps_per_block, n), dtype=_U64)[:, None]
+        targets = block[: draw.size]
+        np.add(seeds, _GOLDEN_U64 * draw, out=targets)  # stream counters
+        _mix64_inplace(targets, scratch[: draw.size])
+        targets %= _U64(n + 1) - draw  # i + 1, for step i = n - draw
+        targets *= _U64(rows)
+        targets += lanes
+        yield n - first, targets.view(np.intp)
 
 
 def random_permutation(n: int, seed: int) -> np.ndarray:

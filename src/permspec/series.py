@@ -13,13 +13,14 @@ from .errors import DegenerateSeriesError
 MIN_LENGTH = 3  # shortest series with a usable non-zero frequency and variance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Ordered, evenly spaced observations.
 
     Values are stored as a read-only 1-D float64 (or complex128) array.
     Complex series are accepted as a library extension; the CLI and the
-    simulation laboratory only produce real series.
+    simulation laboratory only produce real series.  Two series are equal
+    when they have the same dtype and equal values.
     """
 
     values: np.ndarray
@@ -42,6 +43,15 @@ class TimeSeries:
             raise ValueError("series values must all be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, TimeSeries):
+            return NotImplemented
+        return self.values.dtype == other.values.dtype and np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        # adding 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.values.dtype.str, (self.values + 0.0).tobytes()))
 
     @property
     def n(self) -> int:
@@ -85,7 +95,11 @@ class TimeSeries:
         largest = np.abs(self.values.view(np.float64)).max()  # real and imaginary parts
         exponent = math.frexp(largest)[1]
         values = times_power_of_two(self.values, -exponent)
-        unit = values - values.mean()
+        if np.all(self.values == self.values[0]):
+            # exactly constant, even where the mean rounds (seven 0.1s)
+            unit = np.zeros_like(values)
+        else:
+            unit = values - values.mean()
         unit.flags.writeable = False
         return unit, float(np.real(np.vdot(unit, unit))) / (self.n - 1), exponent
 

@@ -1,8 +1,8 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately naive (cmath loops, exhaustive
-enumeration, mpmath arithmetic) and shares no code with the package's
-own FFT/kernel paths.
+enumeration, mpmath arithmetic, Python-int splitmix64) and shares no code
+with the package's own FFT/kernel/rng paths.
 """
 
 import cmath
@@ -10,6 +10,27 @@ import itertools
 import math
 
 import mpmath
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z):
+    """splitmix64 finalizer on a Python int in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def fisher_yates(n, stream_seed):
+    """The order of ``range(n)`` that one splitmix64 stream shuffles it into:
+    step i = n-1 .. 1 swaps positions i and ``draw_k % (i+1)``, where draw
+    k = 1, 2, ... of the stream is ``splitmix64(stream_seed + k * golden)``."""
+    order = list(range(n))
+    for k, i in enumerate(range(n - 1, 0, -1), start=1):
+        j = splitmix64((stream_seed + k * _GOLDEN) & _MASK64) % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 def naive_dft_at(values, delta):

@@ -109,6 +109,16 @@ class TestTestCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_constant_with_inexact_mean_exits_one(self, tmp_path, capsys):
+        """Seven 0.1s: the rounded mean leaves ~1e-17 deviations, yet the
+        series is constant and has no spectrum to test."""
+        path = tmp_path / "tenths.csv"
+        path.write_text("0.1\n" * 7)
+        report = tmp_path / "report.json"
+        assert main(["test", str(path), "--out-report", str(report)]) == 1
+        assert "constant series" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["test", "/nope.csv"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -19,7 +19,7 @@ from permspec import (
     summarize_test,
     wilson_interval,
 )
-from permspec import kernels
+from permspec import kernels, permutation, rng
 from permspec.rng import philox_generator
 from permspec.spectral import analyze_spectrum
 
@@ -70,6 +70,24 @@ class TestSimulateNull:
     def test_single_simulation(self):
         null = simulate_null(ALTERNATING, PermutationPlan(master_seed=1, n_permutations=1))
         assert null.msi_values.shape == (1,)
+
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_row_blocks_change_no_bit(self, is_complex, monkeypatch):
+        """A row budget of 10 rows splits 103 permutations into ten blocks
+        and a last one of 3; the null is bit-identical to one block."""
+        generator = np.random.default_rng(8)
+        values = np.round(generator.standard_normal(50), 2)
+        if is_complex:
+            values = values + 1j * np.round(generator.standard_normal(50), 2)
+        plan = PermutationPlan(master_seed=2**64 - 1, n_permutations=103)
+        whole = simulate_null(values, plan).msi_values
+        blocks = []
+        shuffle = rng.permutation_rows
+        monkeypatch.setattr(rng, "permutation_rows", lambda v, s: blocks.append(len(s)) or shuffle(v, s))
+        monkeypatch.setattr(permutation, "ROW_BLOCK_BYTES", 10 * values.nbytes)
+        blocked = simulate_null(values, plan).msi_values
+        assert blocks == [10] * 10 + [3]
+        assert blocked.tobytes() == whole.tobytes()
 
     def test_degenerate_series_propagates(self):
         with pytest.raises(DegenerateSeriesError):
@@ -157,7 +175,7 @@ class TestTies:
             values = np.round(generator.standard_normal(n), 1)
             centered, variance = TimeSeries(values).centered()
             perms = rearrange(np.arange(n))[None]
-            tied = kernels.null_msi(centered, perms, kernels.msi_scale(n, variance))
+            tied = kernels.null_msi(centered[perms], kernels.msi_scale(n, variance))
             null = NullDistribution(msi_values=tied, plan=PermutationPlan(0, 1))
             assert exceedance_count(analyze_spectrum(values).msi, null) == 1, n
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from permspec import TimeSeries, as_time_series
+from permspec import DegenerateSeriesError, TimeSeries, analyze_spectrum, as_time_series
 
 
 def test_accepts_lists_and_arrays():
@@ -50,3 +50,31 @@ def test_as_time_series_passthrough():
     ts = TimeSeries([1.0, 2.0, 3.0])
     assert as_time_series(ts) is ts
     assert as_time_series([3, 2, 1]).n == 3
+
+
+def test_value_equality_and_hash():
+    a, b = TimeSeries([1.0, 2, 3]), TimeSeries([1.0, 2, 3])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != TimeSeries([1.0, 2, 4])
+    assert a != TimeSeries([1.0, 2, 3, 4])
+    assert a != TimeSeries([1 + 0j, 2, 3])  # same values, other dtype
+    assert a != [1.0, 2.0, 3.0]
+    zero, negative_zero = TimeSeries([0.0, 1, 2]), TimeSeries([-0.0, 1, 2])
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+    c = TimeSeries([1 + 2j, -0.0 - 1j, 3j])
+    assert c == TimeSeries([1 + 2j, 0.0 - 1j, 3j]) and hash(c) == hash(TimeSeries([1 + 2j, -1j, 3j]))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.1] * 3, [0.3] * 10, [0.1] * 7, [0.1 + 0.7j] * 5, [7.0] * 4],
+    ids=["0.1x3", "0.3x10", "0.1x7", "complex", "exact"],
+)
+def test_constant_series_is_degenerate_whatever_its_mean_rounds_to(values):
+    ts = TimeSeries(values)
+    assert ts.sample_variance() == 0.0
+    with pytest.raises(DegenerateSeriesError):
+        ts.spread()
+    with pytest.raises(DegenerateSeriesError):
+        analyze_spectrum(values)
