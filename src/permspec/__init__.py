@@ -34,7 +34,6 @@ from .power import (
     save_table,
 )
 from .report import read_report, render_report, parse_report, write_report
-from .rng import random_permutation
 from .series import TimeSeries, as_time_series
 from .signals import (
     CompositeSeries,
@@ -100,7 +99,6 @@ __all__ = [
     "p_value",
     "parse_report",
     "random_composite",
-    "random_permutation",
     "read_report",
     "render_plot",
     "render_report",

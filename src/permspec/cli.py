@@ -29,6 +29,16 @@ from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, random_composite
 from .spectral import analyze_spectrum
 
 
+def _column_index(column: str | int) -> int | None:
+    """The 0-based index that ``column`` selects, or None for a header name."""
+    if isinstance(column, int) or column.lstrip("-").isdigit():
+        index = int(column)
+        if index < 0:
+            raise ValueError(f"column index must be >= 0, got {index}")
+        return index
+    return None
+
+
 def ingest_csv(path, column: str | int = 0) -> TimeSeries:
     """Read one numeric column into a TimeSeries, in file row order.
 
@@ -46,14 +56,8 @@ def ingest_csv(path, column: str | int = 0) -> TimeSeries:
     if not rows:
         raise CsvParseError(str(path), 1, "file contains no data")
 
-    name = None
-    index: int | None = None
-    if isinstance(column, int) or (isinstance(column, str) and column.lstrip("-").isdigit()):
-        index = int(column)
-        if index < 0:
-            raise ValueError(f"column index must be >= 0, got {index}")
-    else:
-        name = column
+    index = _column_index(column)
+    name = column if index is None else None
 
     start = 0
     first_number, first_row = rows[0]
@@ -65,10 +69,10 @@ def ingest_csv(path, column: str | int = 0) -> TimeSeries:
             )
         index = header.index(name)
         start = 1
-    else:
+    elif index < len(first_row):  # a missing cell is reported at its row below
         try:
             float(first_row[index])
-        except (ValueError, IndexError):
+        except ValueError:
             start = 1  # first row is a header; data begins below it
 
     values = []
@@ -150,6 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _test_plan(args) -> PermutationPlan:
     check_confidence(args.confidence)
+    _column_index(args.column)
     return PermutationPlan(master_seed=args.seed, n_permutations=args.permutations)
 
 

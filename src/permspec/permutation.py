@@ -47,10 +47,6 @@ class PermutationPlan:
     def simulation_seeds(self) -> np.ndarray:
         return rng.substream_seeds(self.master_seed, self.n_permutations)
 
-    def permutation_matrix(self, n: int) -> np.ndarray:
-        """All permutations for this plan, one per row, shape (M, n)."""
-        return rng.permutation_rows(n, self.simulation_seeds())
-
 
 @dataclass(frozen=True)
 class NullDistribution:

@@ -31,8 +31,6 @@ _MIX_B = _U64(0x94D049BB133111EB)
 # Bytes of splitmix64 draws generated at once by permutation_rows: a block
 # of Fisher-Yates steps stays in cache whatever the number of rows.
 DRAW_BLOCK_BYTES = 1 << 20
-# Rows of the shuffled (n, rows) matrix transposed at once into the result.
-TRANSPOSE_TILE = 256
 
 
 def check_seed(seed: int) -> None:
@@ -105,16 +103,16 @@ def permutation_rows(values: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
     Fisher-Yates: step i = n-1 .. 1 of row ``m`` swaps elements i and
     ``draw % (i+1)``, where the draws are the splitmix64 counter stream of
     ``row_seeds[m]`` (draw ``k`` drives step ``n - k``).  All rows are
-    shuffled in lockstep, one swap position per vectorised step, so row
-    ``m`` equals ``values[random_permutation(n, row_seeds[m])]``.  The modulo
+    shuffled in lockstep, one swap position per vectorised step.  The modulo
     draw carries a bias below ``n / 2**64``, many orders of magnitude under
-    anything observable.
+    anything observable.  An index permutation is
+    ``permutation_rows(np.arange(n), seeds)``.
 
-    An integer ``values`` stands for ``np.arange(values)``, as in
-    ``np.random.permutation``: the rows are then index permutations.
-    Returns an ``(len(row_seeds), n)`` C-contiguous array of ``values``' dtype.
+    Returns an ``(len(row_seeds), n)`` array of ``values``' dtype: the
+    transposed view of the shuffled ``(n, len(row_seeds))`` working matrix,
+    so row m is column m of one C-ordered array.
     """
-    values = np.arange(values) if np.ndim(values) == 0 else np.asarray(values)
+    values = np.asarray(values)
     if values.ndim != 1 or values.size < 1:
         raise ValueError(f"permutation length must be >= 1, got shape {values.shape}")
     seeds = np.asarray(row_seeds, dtype=_U64)
@@ -132,12 +130,7 @@ def permutation_rows(values: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
             flat.take(target, out=held, mode="clip")
             flat[target] = work[i]
             work[i] = held
-    # transpose in tiles of rows, which stay in cache while they are read
-    # column by column (a whole-matrix copy took twice as long at n=5000)
-    result = np.empty((rows, n), dtype=values.dtype)
-    for low in range(0, n, TRANSPOSE_TILE):
-        result[:, low : low + TRANSPOSE_TILE] = work[low : low + TRANSPOSE_TILE].T
-    return result
+    return work.T
 
 
 def _swap_targets(seeds: np.ndarray, n: int):
@@ -161,7 +154,3 @@ def _swap_targets(seeds: np.ndarray, n: int):
         targets += lanes
         yield n - first, targets.view(np.intp)
 
-
-def random_permutation(n: int, seed: int) -> np.ndarray:
-    """Uniform random permutation of ``range(n)`` for one stream seed."""
-    return permutation_rows(n, np.array([seed & _MASK64], dtype=_U64))[0]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateSeriesError
 from .series import as_time_series, times_power_of_two
 
 
@@ -126,11 +125,11 @@ def standardized_intensity(analysis: SpectrumAnalysis, sigma: float) -> np.ndarr
     return analysis.intensity / sigma
 
 
-def _real_centered(series) -> tuple[np.ndarray, int]:
+def _real_spread(series) -> tuple[np.ndarray, float, int]:
     ts = as_time_series(series)
     if ts.is_complex:
         raise ValueError("autocovariances are defined for real series only")
-    return center(ts), ts.n
+    return ts.spread()
 
 
 def autocovariance(series, lag: int) -> float:
@@ -139,10 +138,10 @@ def autocovariance(series, lag: int) -> float:
     Lag 0 therefore coincides with the sample variance.  The largest usable
     lag is ``n - 2``; beyond it the normaliser is no longer positive.
     """
-    centered, n = _real_centered(series)
-    if not 0 <= lag <= n - 2:
-        raise ValueError(f"lag must be in [0, {n - 2}], got {lag}")
-    return float(np.dot(centered[: n - lag], centered[lag:]) / (n - lag - 1))
+    profile = autocorrelation_profile(series)
+    if not 0 <= lag <= profile.max_lag:
+        raise ValueError(f"lag must be in [0, {profile.max_lag}], got {lag}")
+    return float(profile.autocovariances[lag])
 
 
 @dataclass(frozen=True)
@@ -158,15 +157,15 @@ class AutocorrelationProfile:
 
 
 def autocorrelation_profile(series) -> AutocorrelationProfile:
-    centered, n = _real_centered(series)
-    gamma = np.array(
-        [np.dot(centered[: n - lag], centered[lag:]) / (n - lag - 1) for lag in range(n - 1)]
-    )
-    if gamma[0] == 0.0:
-        raise DegenerateSeriesError("constant series: autocorrelations undefined")
-    profile = AutocorrelationProfile(
-        autocovariances=gamma, autocorrelations=gamma / gamma[0]
-    )
+    """Lag products of the unit deviations (:meth:`TimeSeries.spread`): the
+    autocorrelations are scale-free and hold at any finite magnitude.
+    Raises DegenerateSeriesError for a constant series."""
+    unit, _, exponent = _real_spread(series)
+    n = unit.size
+    gamma = np.array([np.dot(unit[: n - lag], unit[lag:]) / (n - lag - 1) for lag in range(n - 1)])
+    with np.errstate(over="ignore"):  # beyond the float range reads inf
+        autocovariances = np.ldexp(gamma, 2 * exponent)
+    profile = AutocorrelationProfile(autocovariances, autocorrelations=gamma / gamma[0])
     for arr in (profile.autocovariances, profile.autocorrelations):
         arr.flags.writeable = False
     return profile
@@ -203,17 +202,16 @@ def spectral_identity(series, delta: float) -> float:
     expansion directly; without it the identity with ``|dft_at|^2 / s^2``
     only holds asymptotically.
     """
-    centered, n = _real_centered(series)
-    profile = autocorrelation_profile(series)
-    variance = profile.autocovariances[0]
+    ts = as_time_series(series)
+    unit, variance, _ = _real_spread(ts)
+    n = ts.n
+    rho = autocorrelation_profile(ts).autocorrelations
 
     phi = min(1.0, max(-1.0, math.cos(2.0 * math.pi * delta)))  # guard rounding
     cheb = _chebyshev_sequence(n - 1, phi)
     lags = np.arange(1, n - 1)
-    body = 2.0 * np.sum(
-        (n - lags - 1) / n * profile.autocorrelations[1:] * cheb[1 : n - 1]
-    )
-    boundary = 2.0 / n * cheb[n - 1] * centered[0] * centered[-1] / variance
+    body = 2.0 * np.sum((n - lags - 1) / n * rho[1:] * cheb[1 : n - 1])
+    boundary = 2.0 / n * cheb[n - 1] * unit[0] * unit[-1] / variance
     return float((n - 1) / n + body + boundary)
 
 

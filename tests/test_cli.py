@@ -60,6 +60,15 @@ class TestIngestCsv:
         with pytest.raises(FileNotFoundError):
             ingest_csv("/does/not/exist.csv")
 
+    def test_missing_column_reports_the_first_row(self, tmp_path):
+        """A first row without the selected column is an error at row 1,
+        not a header."""
+        path = tmp_path / "data.csv"
+        path.write_text("1.0\n2.0\n3.0\n")
+        with pytest.raises(CsvParseError, match="no column 3") as excinfo:
+            ingest_csv(path, column=3)
+        assert excinfo.value.row == 1
+
     def test_unknown_column_name(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1,2\n3,4\n5,6\n")
@@ -186,6 +195,7 @@ class TestUsageErrors:
             (["simulate", "--snr", "-1"], "lambda"),
             (["simulate", "--snr", "nan"], "lambda"),
             (["simulate", "--seed", "-5"], "master_seed"),
+            (["test", "/nope.csv", "--column", "-1"], "column"),
         ],
     )
     def test_invalid_value_exits_two_before_any_io(self, argv, message, tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_msi
-from permspec import PermutationPlan, TimeSeries, analyze_spectrum, kernels
+from permspec import PermutationPlan, TimeSeries, analyze_spectrum, kernels, rng
 
 CASES = [(3, 40), (4, 40), (15, 100), (16, 100), (47, 60), (48, 60), (128, 30)]
 
@@ -15,7 +15,8 @@ def make_case(n, m, is_complex, seed=0):
     centered = values - values.mean()
     variance = float(np.real(np.vdot(centered, centered))) / (n - 1)
     scale = kernels.msi_scale(n, variance)
-    perms = PermutationPlan(master_seed=seed, n_permutations=m).permutation_matrix(n)
+    seeds = PermutationPlan(master_seed=seed, n_permutations=m).simulation_seeds()
+    perms = rng.permutation_rows(np.arange(n), seeds)
     return values, centered, perms, scale
 
 
@@ -52,3 +53,15 @@ def test_observed_msi_is_the_identity_row_of_the_null(is_complex):
         assert analysis.msi == null[0], n
         if not is_complex:
             assert 0.0 < analysis.peak_frequency <= 0.5, n
+
+
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+def test_tiles_change_no_bit(is_complex, monkeypatch):
+    """The shuffled rows, a strided view, give the same MSIs bit for bit in
+    one tile, in tiles of 3 rows (the last one partial) and of one row."""
+    _, centered, _, scale = make_case(50, 103, is_complex, seed=9)
+    rows = rng.permutation_rows(centered, rng.substream_seeds(9, 103))
+    whole = kernels.null_msi(rows, scale)
+    for tile_bytes in (3 * rows[0].nbytes, 1):
+        monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+        assert kernels.null_msi(rows, scale).tobytes() == whole.tobytes()

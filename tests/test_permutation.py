@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from permspec import (
     exceedance_count,
     gen_sinusoid,
     p_value,
-    random_permutation,
     run_test,
     simulate_null,
     summarize_test,
@@ -23,7 +23,7 @@ from permspec import kernels, permutation, rng
 from permspec.rng import philox_generator
 from permspec.spectral import analyze_spectrum
 
-from oracles import exhaustive_null_msi, wilson_interval_mp
+from oracles import exhaustive_null_msi, fisher_yates, wilson_interval_mp
 
 ALTERNATING = [1.0, -1.0, 1.0, -1.0]
 
@@ -40,17 +40,18 @@ class TestPlan:
         with pytest.raises(ValueError):
             PermutationPlan(master_seed=-1, n_permutations=10)
 
-    def test_permutation_matrix_shape_and_determinism(self):
+    def test_permutation_rows_shape_and_determinism(self):
         plan = PermutationPlan(master_seed=3, n_permutations=25)
-        first = plan.permutation_matrix(9)
-        second = plan.permutation_matrix(9)
+        first = rng.permutation_rows(np.arange(9), plan.simulation_seeds())
+        second = rng.permutation_rows(np.arange(9), plan.simulation_seeds())
         assert first.shape == (25, 9)
         np.testing.assert_array_equal(first, second)
 
     def test_same_seed_same_permutation(self):
-        np.testing.assert_array_equal(
-            random_permutation(12, 77), random_permutation(12, 77)
-        )
+        first = rng.permutation_rows(np.arange(12), [77])[0]
+        second = rng.permutation_rows(np.arange(12), [77])[0]
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, fisher_yates(12, 77))
 
 
 class TestSimulateNull:
@@ -88,6 +89,23 @@ class TestSimulateNull:
         blocked = simulate_null(values, plan).msi_values
         assert blocks == [10] * 10 + [3]
         assert blocked.tobytes() == whole.tobytes()
+
+    def test_peak_memory_is_bounded_by_the_row_budget(self, monkeypatch):
+        """A block of shuffled rows is held once: the traced peak stays
+        under twice the row budget and does not grow with M."""
+        budget = 8 << 20
+        monkeypatch.setattr(permutation, "ROW_BLOCK_BYTES", budget)
+        values = np.random.default_rng(4).standard_normal(1000)
+        peaks = []
+        for m in (1000, 4000):
+            tracemalloc.start()
+            try:
+                simulate_null(values, PermutationPlan(master_seed=6, n_permutations=m))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2 * budget, peaks
+        assert max(peaks) <= 1.05 * min(peaks), peaks
 
     def test_degenerate_series_propagates(self):
         with pytest.raises(DegenerateSeriesError):

@@ -42,32 +42,34 @@ def test_substream_seeds_are_pure_functions_of_index():
 
 def test_permutation_rows_matches_single_permutation():
     seeds = rng.substream_seeds(7, 5)
-    matrix = rng.permutation_rows(8, seeds)
-    for row, seed in zip(matrix, seeds.tolist()):
-        np.testing.assert_array_equal(row, rng.random_permutation(8, seed))
+    matrix = rng.permutation_rows(np.arange(8), seeds)
+    for m, seed in enumerate(seeds.tolist()):
+        single = rng.permutation_rows(np.arange(8), seeds[m : m + 1])[0]
+        np.testing.assert_array_equal(matrix[m], single)
+        np.testing.assert_array_equal(single, fisher_yates(8, seed))
 
 
 def test_permutations_are_valid():
     seeds = rng.substream_seeds(11, 100)
-    matrix = rng.permutation_rows(13, seeds)
+    matrix = rng.permutation_rows(np.arange(13), seeds)
     expected = np.arange(13)
     for row in matrix:
         np.testing.assert_array_equal(np.sort(row), expected)
 
 
 def test_length_one_permutation():
-    np.testing.assert_array_equal(rng.random_permutation(1, 5), [0])
+    np.testing.assert_array_equal(rng.permutation_rows(np.arange(1), [5]), [[0]])
 
 
 def test_invalid_length():
     with pytest.raises(ValueError):
-        rng.random_permutation(0, 5)
+        rng.permutation_rows(np.arange(0), [5])
 
 
 def test_uniformity_n3_chi_square():
     """60,000 draws over the 6 orders of n=3: each lands within 1/6 +- 0.01."""
     draws = 60_000
-    matrix = rng.permutation_rows(3, rng.substream_seeds(2024, draws))
+    matrix = rng.permutation_rows(np.arange(3), rng.substream_seeds(2024, draws))
     counts = Counter(map(tuple, matrix.tolist()))
     assert len(counts) == 6
     expected = draws / 6
@@ -93,9 +95,9 @@ def test_permutation_rows_follow_the_fisher_yates_oracle(n, draw_block_bytes, mo
     cases = [real, real + 1j * generator.standard_normal(n), generator.integers(-(2**62), 2**62, n)]
     for values in cases:
         rows = rng.permutation_rows(values, ORACLE_SEEDS)
-        assert rows.dtype == values.dtype and rows.flags.c_contiguous
+        assert rows.dtype == values.dtype and rows.T.flags.c_contiguous
         np.testing.assert_array_equal(rows, values[orders])
-    np.testing.assert_array_equal(rng.permutation_rows(n, ORACLE_SEEDS), orders)
+    np.testing.assert_array_equal(rng.permutation_rows(np.arange(n), ORACLE_SEEDS), orders)
 
 
 def test_permutation_rows_follow_the_oracle_across_default_draw_blocks():

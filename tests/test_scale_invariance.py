@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permspec import PermutationPlan, analyze_spectrum, run_test
+from permspec import (
+    PermutationPlan,
+    analyze_spectrum,
+    autocorrelation_profile,
+    run_test,
+    spectral_identity,
+)
 
 PLAN = PermutationPlan(master_seed=7, n_permutations=50)
 
@@ -55,3 +61,16 @@ def test_extreme_magnitudes_give_the_unit_result(factor):
     base, scaled = run_test(values, plan), run_test(values * factor, plan)
     assert scaled.observed_msi == pytest.approx(base.observed_msi, rel=1e-12)
     assert (scaled.exceedances, scaled.peak_frequency) == (base.exceedances, base.peak_frequency)
+
+
+@pytest.mark.parametrize("factor", [1e155, 1e300, 1e-160, 1e-200])
+def test_second_order_statistics_at_extreme_magnitudes(factor):
+    """Autocorrelations and the spectral identity are scale-free: no sum of
+    squares may over- or underflow on the way to them."""
+    values = np.random.default_rng(12).standard_normal(40)
+    peak = analyze_spectrum(values).peak_frequency
+    base, scaled = autocorrelation_profile(values), autocorrelation_profile(values * factor)
+    np.testing.assert_allclose(scaled.autocorrelations, base.autocorrelations, rtol=1e-12)
+    assert spectral_identity(values * factor, peak) == pytest.approx(
+        spectral_identity(values, peak), rel=1e-12
+    )
