@@ -23,9 +23,8 @@ from .permutation import PermutationPlan, check_confidence, simulate_null, summa
 from .plotting import render_plot
 from .power import StudyConfig, desk_scale_config, full_scale_config, run_grid, save_table
 from .report import render_report, write_report
-from .series import MIN_LENGTH, TimeSeries
-from .rng import check_seed
-from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, random_composite
+from .series import TimeSeries
+from .signals import DISTRIBUTIONS, CompositeSeries, random_composite
 from .spectral import analyze_spectrum
 
 
@@ -93,11 +92,6 @@ def ingest_csv(path, column: str | int = 0) -> TimeSeries:
                 str(path), row_number, f"non-finite value: {cell!r}"
             )
         values.append(value)
-
-    if len(values) < MIN_LENGTH:
-        raise ValueError(
-            f"{path}: need at least {MIN_LENGTH} observations, got {len(values)}"
-        )
     return TimeSeries(values)
 
 
@@ -196,14 +190,12 @@ def _cmd_power_study(args, config: StudyConfig) -> int:
     return 0
 
 
-def _simulate_spec(args) -> NoiseSpec:
-    check_snr(args.snr)
-    check_seed(args.seed)
-    return NoiseSpec(distribution=args.distribution, n=args.n)
+def _simulate_composite(args) -> CompositeSeries:
+    # generating the series reads and writes no file, and checks every flag
+    return random_composite(args.distribution, args.n, args.snr, args.seed)
 
 
-def _cmd_simulate(args, spec: NoiseSpec) -> int:
-    composite = random_composite(spec.distribution, spec.n, args.snr, args.seed)
+def _cmd_simulate(args, composite: CompositeSeries) -> int:
     lines = [repr(float(value)) for value in composite.series.values]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -224,7 +216,7 @@ def main(argv=None) -> int:
     commands = {
         "test": (_test_plan, _cmd_test),
         "power-study": (_study_config, _cmd_power_study),
-        "simulate": (_simulate_spec, _cmd_simulate),
+        "simulate": (_simulate_composite, _cmd_simulate),
     }
     configure, run = commands[args.command]
     try:

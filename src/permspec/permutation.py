@@ -111,7 +111,12 @@ def exceedance_count(observed_msi: float, null: NullDistribution) -> int:
 
 def p_value(observed_msi: float, null: NullDistribution) -> float:
     """Simulated p-value: the exceedance fraction, on the grid {0, 1/M, ..., 1}."""
-    return exceedance_count(observed_msi, null) / null.n_permutations
+    return _p_value_of(exceedance_count(observed_msi, null), null)
+
+
+def _p_value_of(exceedances: int, null: NullDistribution) -> float:
+    """The p-value rule, b/M, for b exceedances of M simulations."""
+    return exceedances / null.n_permutations
 
 
 def check_confidence(confidence: float) -> None:
@@ -165,7 +170,7 @@ def summarize_test(
     return TestResult(
         observed_msi=analysis.msi,
         peak_frequency=analysis.peak_frequency,
-        p_value=count / null.n_permutations,
+        p_value=_p_value_of(count, null),
         wilson_low=low,
         wilson_high=high,
         exceedances=count,

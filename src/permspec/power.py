@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from .permutation import PermutationPlan, check_confidence, run_test, wilson_interval
 from .report import from_record, to_record
 from .rng import check_seed, seed_chain
-from .series import MIN_LENGTH
-from .signals import DISTRIBUTIONS, check_snr, random_composite
+from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, random_composite
 
 _DISTRIBUTION_IDS = {name: index + 1 for index, name in enumerate(DISTRIBUTIONS)}
 
@@ -55,9 +54,9 @@ class StudyConfig:
         # the grids may arrive as lists, e.g. read back from a results file
         for name in ("distributions", "n_values", "snr_values"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name in self.distributions:
-            if name not in DISTRIBUTIONS:
-                raise ValueError(f"unknown noise distribution {name!r}")
+        for distribution in self.distributions:
+            for n in self.n_values:
+                NoiseSpec(distribution, n)  # each cell's noise family and length
         # equal values share a cell seed, so they would repeat a cell
         for label, values in (
             ("distribution", self.distributions),
@@ -66,9 +65,6 @@ class StudyConfig:
         ):
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {label} values in {values}")
-        for n in self.n_values:
-            if n < MIN_LENGTH:
-                raise ValueError(f"series length n must be >= {MIN_LENGTH}, got {n}")
         for snr in self.snr_values:
             check_snr(snr)
         if self.replicates < 1 or self.permutations < 1:

@@ -36,7 +36,7 @@ DRAW_BLOCK_BYTES = 1 << 20
 def check_seed(seed: int) -> None:
     """Reject a master seed outside the 64-bit unsigned range."""
     if not 0 <= seed < 2**64:
-        raise ValueError("master_seed must fit in 64 unsigned bits")
+        raise ValueError(f"master_seed must fit in 64 unsigned bits, got {seed}")
 
 
 def mix64(value: int) -> int:

@@ -13,6 +13,14 @@ from .errors import DegenerateSeriesError
 MIN_LENGTH = 3  # shortest series with a usable non-zero frequency and variance
 
 
+def check_length(n: int) -> None:
+    """Reject a series length below MIN_LENGTH."""
+    if n < MIN_LENGTH:
+        raise ValueError(
+            f"series needs at least {MIN_LENGTH} observations (n >= {MIN_LENGTH}), got {n}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Ordered, evenly spaced observations.
@@ -29,10 +37,7 @@ class TimeSeries:
         arr = np.asarray(self.values)
         if arr.ndim != 1:
             raise ValueError(f"series must be 1-D, got shape {arr.shape}")
-        if arr.size < MIN_LENGTH:
-            raise ValueError(
-                f"series needs at least {MIN_LENGTH} observations, got {arr.size}"
-            )
+        check_length(arr.size)
         if np.iscomplexobj(arr):
             arr = arr.astype(np.complex128)
         elif not np.issubdtype(arr.dtype, np.number):
@@ -60,9 +65,6 @@ class TimeSeries:
     @property
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.values)
-
-    def mean(self) -> complex | float:
-        return self.values.mean()
 
     def centered(self) -> tuple[np.ndarray, float]:
         """Deviations from the sample mean, and their sample variance (mean
@@ -102,10 +104,6 @@ class TimeSeries:
             unit = values - values.mean()
         unit.flags.writeable = False
         return unit, float(np.real(np.vdot(unit, unit))) / (self.n - 1), exponent
-
-    def sample_variance(self) -> float:
-        """Mean squared deviation from the sample mean, n-1 denominator."""
-        return self.centered()[1]
 
 
 def times_power_of_two(values: np.ndarray, exponent: int) -> np.ndarray:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import philox_generator
-from .series import MIN_LENGTH, TimeSeries
+from .rng import check_seed, philox_generator
+from .series import TimeSeries, check_length
 
 DISTRIBUTIONS = ("normal", "t2")
 
@@ -38,25 +38,17 @@ class NoiseSpec:
             raise ValueError(
                 f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
             )
-        if self.n < MIN_LENGTH:
-            raise ValueError(f"need n >= {MIN_LENGTH}, got {self.n}")
+        check_length(self.n)
 
 
 @dataclass(frozen=True)
 class SignalSpec:
     """Pure cosine signal; the phase is zero by construction (it does not
-    affect intensities)."""
+    affect intensities).  A plain record: :func:`random_composite` builds it
+    from a frequency that :func:`gen_sinusoid` has checked."""
 
     frequency: float
     amplitude: float
-
-    def __post_init__(self):
-        if not 0.0 < self.frequency < 0.5:
-            raise ValueError(
-                f"frequency must lie strictly inside (0, 0.5), got {self.frequency}"
-            )
-        if self.amplitude <= 0.0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +106,7 @@ def random_composite(
     the boundary draw has probability ~2**-53 and is rejected.
     """
     check_snr(snr)
+    check_seed(seed)
     spec = NoiseSpec(distribution=distribution, n=n)
     generator = philox_generator(seed)
     frequency = generator.uniform(0.0, 0.5)

@@ -61,11 +61,6 @@ class SpectrumAnalysis:
     def peak_frequency(self) -> float:
         return self.peak_index / self.n
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        """The fundamental frequency grid 0, 1/n, ..., (n-1)/n."""
-        return np.arange(self.n) / self.n
-
     def nyquist_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(frequencies, scaled intensities) restricted to (0, 1/2].
 

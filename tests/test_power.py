@@ -35,7 +35,7 @@ class TestStudyConfigValidation:
             (dict(distributions=("normal", "normal")), "duplicate distribution"),
             (dict(n_values=(12, 30, 12)), "duplicate n"),
             (dict(snr_values=(0.0, 0.4, 0.4)), "duplicate lambda"),
-            (dict(n_values=(2, 12)), "n must be >= 3"),
+            (dict(n_values=(2, 12)), "at least 3"),
             (dict(snr_values=(0.0, -0.5)), "lambda must be finite"),
             (dict(snr_values=(0.0, float("inf"))), "lambda must be finite"),
             (dict(snr_values=(float("nan"),)), "lambda must be finite"),

@@ -164,3 +164,9 @@ class TestRandomComposite:
     def test_rejects_invalid_lambda(self, snr):
         with pytest.raises(ValueError, match="lambda"):
             random_composite("normal", 30, snr, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2**64"])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        """-1 and 2**64 would alias 2**64 - 1 and 0 once reduced mod 2**64."""
+        with pytest.raises(ValueError, match=f"master_seed .*got {seed}"):
+            random_composite("normal", 30, 0.5, seed=seed)
