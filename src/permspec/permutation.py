@@ -3,7 +3,8 @@
 The null hypothesis is exchangeability of the observations.  Random
 permutations of the observed series simulate the null distribution of
 the maximum scaled intensity (MSI); the p-value is the fraction of
-simulated MSI values at or above the observed one.
+simulated MSI values at or above the observed one.  Many tests that only
+need their decision at one level share :func:`count_rejections`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,19 @@ TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
 # the number of permutations, and M=1000 rows of n=5000 take one block.
 ROW_BLOCK_BYTES = 64 << 20
 
+# Each round of count_rejections shuffles the next DECISION_BLOCK
+# simulations of every undecided test of a group in one engine call.  A
+# group's first round fills DECISION_ROUND_BYTES of rows, or M rows where
+# that is more (as one test's simulate_null would), up to ROW_BLOCK_BYTES.
+DECISION_BLOCK = 25
+DECISION_ROUND_BYTES = 256 << 10
+
+
+def check_permutations(permutations: int) -> None:
+    """Reject a number of null simulations below one."""
+    if permutations < 1:
+        raise ValueError(f"need at least one permutation, got {permutations}")
+
 
 @dataclass(frozen=True)
 class PermutationPlan:
@@ -38,10 +52,7 @@ class PermutationPlan:
     n_permutations: int
 
     def __post_init__(self):
-        if self.n_permutations < 1:
-            raise ValueError(
-                f"need at least one permutation, got {self.n_permutations}"
-            )
+        check_permutations(self.n_permutations)
         rng.check_seed(self.master_seed)
 
     def simulation_seeds(self) -> np.ndarray:
@@ -105,18 +116,92 @@ def exceedance_count(observed_msi: float, null: NullDistribution) -> int:
     that leave the MSI unchanged (reversal, cyclic shifts, swaps of equal
     values) reach it through a different rounding order.
     """
-    threshold = observed_msi - TIE_TOLERANCE * abs(observed_msi)
-    return int(np.count_nonzero(null.msi_values >= threshold))
+    return int(np.count_nonzero(null.msi_values >= _tie_threshold(observed_msi)))
+
+
+def _tie_threshold(observed_msi):
+    """The smallest simulated MSI that counts as reaching ``observed_msi``
+    (a float, or an array of observed values)."""
+    return observed_msi - TIE_TOLERANCE * abs(observed_msi)
 
 
 def p_value(observed_msi: float, null: NullDistribution) -> float:
     """Simulated p-value: the exceedance fraction, on the grid {0, 1/M, ..., 1}."""
-    return _p_value_of(exceedance_count(observed_msi, null), null)
+    return _p_value_of(exceedance_count(observed_msi, null), null.n_permutations)
 
 
-def _p_value_of(exceedances: int, null: NullDistribution) -> float:
+def _p_value_of(exceedances: int, permutations: int) -> float:
     """The p-value rule, b/M, for b exceedances of M simulations."""
-    return exceedances / null.n_permutations
+    return exceedances / permutations
+
+
+def _most_rejecting(alpha: float, permutations: int) -> int:
+    """The largest exceedance count b with p-value b/M <= ``alpha`` (-1 if
+    none).  The rule's own float expression decides each b, so no rounding
+    of ``alpha * M`` can disagree with it (floor(0.29 * 100) is 28, yet
+    29/100 <= 0.29)."""
+    counts = range(permutations + 1)
+    return max((b for b in counts if _p_value_of(b, permutations) <= alpha), default=-1)
+
+
+def count_rejections(tests, permutations: int, alpha: float) -> int:
+    """How many of ``tests``, ``(series, master_seed)`` pairs of series of
+    one length, reject at level ``alpha``: those whose :func:`run_test` with
+    ``PermutationPlan(master_seed, permutations)`` gives p_value <= alpha.
+
+    The count is exact, but a test stops as soon as its decision is
+    settled: once its exceedances pass the largest count that rejects, or
+    stay within it even if every remaining simulation exceeds.  Simulation
+    m of a test is a pure function of (master_seed, m), so the simulations
+    it skips could not have changed it.  ``tests`` is read lazily, one
+    group of tests at a time, so memory does not grow with their number.
+    """
+    check_permutations(permutations)
+    most = _most_rejecting(alpha, permutations)
+    block = min(DECISION_BLOCK, permutations)
+    rejections = 0
+    group = []
+    for series, master_seed in tests:
+        rng.check_seed(master_seed)
+        ts = as_time_series(series)
+        unit, variance, _ = ts.spread()
+        group.append((unit, kernels.msi_scale(ts.n, variance), master_seed))
+        round_bytes = min(max(DECISION_ROUND_BYTES, permutations * unit.nbytes), ROW_BLOCK_BYTES)
+        if (len(group) + 1) * block * unit.nbytes > round_bytes:
+            rejections += _group_rejections(group, permutations, most)
+            group = []
+    if group:
+        rejections += _group_rejections(group, permutations, most)
+    return rejections
+
+
+def _group_rejections(group, permutations: int, most: int) -> int:
+    """Rejections among ``(unit, scale, master_seed)`` tests, in rounds that
+    shuffle and score the next block of simulations of every undecided
+    test at once; ``most`` is the largest exceedance count that rejects."""
+    units = np.stack([unit for unit, _, _ in group])
+    scales = np.array([scale for _, scale, _ in group])
+    seeds = np.array([seed for _, _, seed in group], dtype=np.uint64)
+    # the unshuffled rows are the identity permutation: the observed MSIs
+    thresholds = _tie_threshold(kernels.null_msi(units, scales))
+    exceedances = np.zeros(len(group), dtype=np.intp)
+    rejections = done = 0
+    while exceedances.size:
+        size = min(DECISION_BLOCK, permutations - done)
+        row_seeds = rng.substream_seeds(seeds, size, done).reshape(-1)
+        # one expression, so no round's rows outlive it into the next
+        null = kernels.null_msi(
+            rng.permutation_rows(np.repeat(units, size, axis=0), row_seeds), np.repeat(scales, size)
+        ).reshape(-1, size)
+        exceedances += np.count_nonzero(null >= thresholds[:, None], axis=1)
+        done += size
+        rejected = exceedances + (permutations - done) <= most
+        undecided = ~rejected & (exceedances <= most)
+        rejections += int(np.count_nonzero(rejected))
+        units, scales, seeds, thresholds, exceedances = (
+            values[undecided] for values in (units, scales, seeds, thresholds, exceedances)
+        )
+    return rejections
 
 
 def check_confidence(confidence: float) -> None:
@@ -170,7 +255,7 @@ def summarize_test(
     return TestResult(
         observed_msi=analysis.msi,
         peak_frequency=analysis.peak_frequency,
-        p_value=_p_value_of(count, null),
+        p_value=_p_value_of(count, null.n_permutations),
         wilson_low=low,
         wilson_high=high,
         exceedances=count,

@@ -87,25 +87,29 @@ def philox_generator(*components: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=philox_key(*components)))
 
 
-def substream_seeds(base_seed: int, count: int) -> np.ndarray:
-    """Seeds of ``count`` substreams of ``base_seed`` (uint64 array).
+def substream_seeds(base_seed, count: int, first: int = 0) -> np.ndarray:
+    """Seeds of substreams ``first .. first + count - 1`` of ``base_seed``.
 
     Seed ``i`` is ``mix64(base_seed + (i + 1) * GOLDEN)``: a pure function
-    of (base_seed, i), independent of how many substreams are requested.
+    of (base_seed, i), independent of which substreams are requested.  For a
+    uint64 array of base seeds the result has one row of seeds per base.
     """
-    offsets = (np.arange(1, count + 1, dtype=_U64)) * _GOLDEN_U64
-    return mix64_array(_U64(base_seed & _MASK64) + offsets)
+    offsets = np.arange(first + 1, first + count + 1, dtype=_U64) * _GOLDEN_U64
+    return mix64_array(np.add.outer(np.asarray(base_seed & _MASK64, dtype=_U64), offsets))
 
 
 def permutation_rows(values: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
     """One uniformly shuffled copy of ``values`` per row seed.
 
+    ``values`` is one ``(n,)`` vector that every row starts from, or an
+    ``(len(row_seeds), n)`` array with each row's own starting values.
     Fisher-Yates: step i = n-1 .. 1 of row ``m`` swaps elements i and
     ``draw % (i+1)``, where the draws are the splitmix64 counter stream of
     ``row_seeds[m]`` (draw ``k`` drives step ``n - k``).  All rows are
-    shuffled in lockstep, one swap position per vectorised step.  The modulo
-    draw carries a bias below ``n / 2**64``, many orders of magnitude under
-    anything observable.  An index permutation is
+    shuffled in lockstep, one swap position per vectorised step, so a row
+    depends on its starting values and seed alone.  The modulo draw carries
+    a bias below ``n / 2**64``, many orders of magnitude under anything
+    observable.  An index permutation is
     ``permutation_rows(np.arange(n), seeds)``.
 
     Returns an ``(len(row_seeds), n)`` array of ``values``' dtype: the
@@ -113,14 +117,16 @@ def permutation_rows(values: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
     so row m is column m of one C-ordered array.
     """
     values = np.asarray(values)
-    if values.ndim != 1 or values.size < 1:
-        raise ValueError(f"permutation length must be >= 1, got shape {values.shape}")
     seeds = np.asarray(row_seeds, dtype=_U64)
-    n, rows = values.size, seeds.size
+    if values.ndim not in (1, 2) or values.shape[-1] < 1:
+        raise ValueError(f"permutation length must be >= 1, got shape {values.shape}")
+    n, rows = values.shape[-1], seeds.size
+    if values.ndim == 2 and len(values) != rows:
+        raise ValueError(f"{len(values)} rows of starting values for {rows} row seeds")
     # column m is row m of the result, so step i swaps the contiguous row
     # work[i] with the elements at flat indices j*rows + m
     work = np.empty((n, rows), dtype=values.dtype)
-    work[...] = values[:, None]
+    work[...] = np.atleast_2d(values).T
     flat = work.reshape(-1)
     held = np.empty(rows, dtype=values.dtype)
     for top, targets in _swap_targets(seeds, n):

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (cmath loops, exhaustive
 enumeration, mpmath arithmetic, Python-int splitmix64) and shares no code
-with the package's own FFT/kernel/rng paths.
+with the package's own FFT/kernel/rng paths, except
+``reference_cell_tests``: the one-full-test-per-replicate power cell,
+built from the package's single-test API.
 """
 
 import cmath
@@ -79,3 +81,19 @@ def wilson_interval_mp(successes, trials, confidence, digits=40):
         low = max(mpmath.mpf(0), centre - margin)
         high = min(mpmath.mpf(1), centre + margin)
         return float(low), float(high)
+
+
+def reference_cell_tests(distribution, n, snr, replicates, permutations, cell_seed):
+    """The full test of every replicate of a power cell: replicate r is the
+    series of noise seed (cell_seed, r, 0), tested by ``run_test`` at
+    master seed (cell_seed, r, 1) with all ``permutations`` simulations.
+    The cell rejects a replicate when its ``p_value <= alpha``."""
+    from permspec import PermutationPlan, random_composite, run_test
+    from permspec.rng import seed_chain
+
+    results = []
+    for replicate in range(replicates):
+        composite = random_composite(distribution, n, snr, seed=seed_chain(cell_seed, replicate, 0))
+        plan = PermutationPlan(master_seed=seed_chain(cell_seed, replicate, 1), n_permutations=permutations)
+        results.append(run_test(composite.series, plan))
+    return results

@@ -6,6 +6,7 @@ permutations) is computed once and shared by the criteria that need it;
 the whole module takes a few minutes on one core.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from permspec import (
     spectral_identity,
 )
 from permspec.cli import main
+from permspec.power import render_table
 from permspec.rng import philox_generator
 
 from oracles import exhaustive_null_msi
@@ -51,6 +53,10 @@ TABLE1 = {
 
 POWER_TOLERANCE = 0.07
 NULL_TOLERANCE = 0.03
+
+# sha256 of the desk grid's results text: every cell's rejection count is a
+# pure function of its seed, so any change of it is a change of the table
+DESK_TABLE_SHA256 = "ddbcfe3f56f8eedb3a1ac422474ecda712fb42727617bd3816ae063446bb72e3"
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -91,6 +97,11 @@ def test_table1_reproduction_desk_scale(desk_table):
             worst = (label, deviation)
     report("table-1 reproduction", True,
            f"16 cells within tolerance; worst {worst[0]} off by {worst[1]:.4f}")
+
+
+def test_desk_table_bytes_pinned(desk_table):
+    digest = hashlib.sha256(render_table(desk_table).encode()).hexdigest()
+    report("desk table byte-identical", digest == DESK_TABLE_SHA256, f"sha256 {digest}")
 
 
 def test_robustness_ordering_normal_vs_t2(desk_table):

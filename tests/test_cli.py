@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -145,6 +146,19 @@ class TestPowerStudyCommand:
             assert cell.replicates == 3
             assert cell.permutations == 20
         assert "wrote" in capsys.readouterr().out
+
+    def test_progress_lines_report_throughput_and_eta(self, tmp_path, capsys):
+        assert main(["power-study", "--seed", "4", "--replicates", "2",
+                     "--permutations", "10", "--out", str(tmp_path / "p.jsonl")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        progress = re.compile(
+            r" *(normal|t2)  n=\d+ +lambda=\S+ +power=\d\.\d{4}  \[\d\.\d{4}, \d\.\d{4}\]"
+            r"  \d+ tests/s  ETA \d+:\d\d:\d\d"
+        )
+        assert len(lines) == 17 and lines[-1].startswith("wrote 16 cells")
+        for line in lines[:-1]:
+            assert progress.fullmatch(line), line
+        assert lines[-2].endswith("ETA 0:00:00")  # nothing left after the last cell
 
     def test_deterministic_results_file(self, tmp_path):
         args = ["power-study", "--seed", "4", "--replicates", "2",

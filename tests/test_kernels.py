@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_msi
-from permspec import PermutationPlan, TimeSeries, analyze_spectrum, kernels, rng
+from permspec import PermutationPlan, TimeSeries, analyze_spectrum, kernels, random_composite, rng
 
 CASES = [(3, 40), (4, 40), (15, 100), (16, 100), (47, 60), (48, 60), (128, 30)]
 
@@ -53,6 +53,22 @@ def test_observed_msi_is_the_identity_row_of_the_null(is_complex):
         assert analysis.msi == null[0], n
         if not is_complex:
             assert 0.0 < analysis.peak_frequency <= 0.5, n
+
+
+@pytest.mark.parametrize("n", [31, 64])
+def test_observed_msis_are_the_identity_rows_of_one_batch(n):
+    """One null_msi call over the stacked unit rows of 50 different series,
+    normal and t2, with one scale per row, gives each series' observed MSI
+    bit for bit (the power study scores a group of replicates this way)."""
+    series = [
+        random_composite(("normal", "t2")[seed % 2], n, 0.25 * (seed % 5), seed).series
+        for seed in range(50)
+    ]
+    spreads = [ts.spread() for ts in series]
+    units = np.stack([unit for unit, _, _ in spreads])
+    scales = np.array([kernels.msi_scale(n, variance) for _, variance, _ in spreads])
+    batch = kernels.null_msi(units, scales)
+    assert batch.tolist() == [analyze_spectrum(ts).msi for ts in series]
 
 
 @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])

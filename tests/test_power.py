@@ -1,8 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from oracles import reference_cell_tests
 from permspec import (
     PowerTable,
     StudyConfig,
@@ -11,6 +13,7 @@ from permspec import (
     run_grid,
     save_table,
 )
+from permspec.permutation import DECISION_BLOCK, DECISION_ROUND_BYTES
 from permspec.power import render_table
 
 
@@ -60,6 +63,10 @@ class TestRunCell:
                       permutations=40, alpha=0.05, cell_seed=99)
         assert run_cell(**kwargs) == run_cell(**kwargs)
 
+    def test_rejects_no_permutations(self):
+        with pytest.raises(ValueError, match="at least one permutation"):
+            run_cell("normal", 10, 0.0, replicates=3, permutations=0, alpha=0.05, cell_seed=1)
+
     def test_counts_are_consistent(self):
         cell = run_cell("t2", 10, 0.0, replicates=30, permutations=25,
                         alpha=0.1, cell_seed=5)
@@ -92,6 +99,72 @@ class TestRunCell:
             f"{distribution} n={n} lambda={snr}: power {cell.power:.4f} "
             f"vs reference {expected:.4f}"
         )
+
+
+class TestEarlyDecisions:
+    """run_cell stops each replicate once its decision is settled, yet
+    rejects exactly the replicates whose full test has p_value <= alpha."""
+
+    @staticmethod
+    def reference_rejections(distribution, n, snr, replicates, permutations, alpha, cell_seed):
+        tests = reference_cell_tests(distribution, n, snr, replicates, permutations, cell_seed)
+        return tests, sum(test.p_value <= alpha for test in tests)
+
+    @pytest.mark.parametrize("alpha,edge", [(0.29, 29), (0.57, 57)])
+    def test_rejecting_count_is_the_p_value_rules_own(self, alpha, edge):
+        """At M=100, 29/100 <= 0.29 and 57/100 <= 0.57, but floor(alpha*M) is
+        one less: a cell with replicates at exactly ``edge`` exceedances
+        tells the two rules apart."""
+        assert math.floor(alpha * 100) == edge - 1 and edge / 100 <= alpha
+        tests, expected = self.reference_rejections("normal", 8, 0.0, 300, 100, alpha, cell_seed=1)
+        assert any(test.exceedances == edge for test in tests)
+        assert run_cell("normal", 8, 0.0, 300, 100, alpha, cell_seed=1).rejections == expected
+
+    @pytest.mark.parametrize(
+        "distribution,n,snr,replicates,permutations,alpha",
+        [
+            pytest.param("normal", 30, 1.5, 60, 100, 0.005, id="alpha-below-1/M"),
+            pytest.param("t2", 12, 0.0, 50, 100, 0.999, id="alpha-0.999"),
+            pytest.param("normal", 10, 1.0, 40, 1, 0.5, id="M-1"),
+            pytest.param("t2", 10, 1.0, 40, 7, 0.3, id="M-7"),
+            pytest.param("normal", 10, 1.0, 40, 26, 0.05, id="M-26"),
+            pytest.param("normal", 8, 0.8, 1, 100, 0.05, id="K-1"),
+            pytest.param(
+                "normal", 8, 0.8, DECISION_ROUND_BYTES // (DECISION_BLOCK * 8 * 8) + 1, 100, 0.2,
+                id="K-one-past-a-group",
+            ),
+        ],
+    )
+    def test_rejections_equal_the_full_tests(self, distribution, n, snr, replicates, permutations, alpha):
+        _, expected = self.reference_rejections(distribution, n, snr, replicates, permutations, alpha, 11)
+        cell = run_cell(distribution, n, snr, replicates, permutations, alpha, cell_seed=11)
+        assert cell.rejections == expected
+
+
+class TestMemory:
+    """A cell holds one group of replicates and one round of rows at a time,
+    so its peak allocation does not grow with K, nor with M while M rows
+    fit the round budget; it stays within a few round sizes."""
+
+    @staticmethod
+    def peak(n, replicates, permutations):
+        run_cell("normal", n, 0.0, 2, 30, 0.05, cell_seed=1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            run_cell("normal", n, 0.0, replicates, permutations, 0.05, cell_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * max(permutations * n * 8, DECISION_ROUND_BYTES)
+        return peak
+
+    def test_flat_in_replicates(self):
+        # n=60, M=200: a group is 21 replicates
+        assert self.peak(60, 400, 200) <= 1.1 * self.peak(60, 40, 200)
+
+    def test_flat_in_permutations(self):
+        # n=16: 2048 rows fill the round budget, more than M=2000 rows
+        assert self.peak(16, 100, 2000) <= 1.1 * self.peak(16, 100, 200)
 
 
 class TestRunGrid:

@@ -40,6 +40,25 @@ def test_substream_seeds_are_pure_functions_of_index():
     np.testing.assert_array_equal(long[:4], short)
 
 
+def test_substream_seeds_of_many_bases_from_any_offset():
+    bases = np.array([0, 2**64 - 1, 12345], dtype=np.uint64)
+    block = rng.substream_seeds(bases, 4, first=6)
+    assert block.shape == (3, 4)
+    for base, row in zip(bases.tolist(), block):
+        np.testing.assert_array_equal(row, rng.substream_seeds(base, 10)[6:])
+
+
+def test_permutation_rows_with_per_row_starting_values():
+    """Each row of a (rows, n) start is shuffled by its own seed's
+    Fisher-Yates order, as the oracle gives it."""
+    starts = np.random.default_rng(3).standard_normal((len(ORACLE_SEEDS), 9))
+    rows = rng.permutation_rows(starts, ORACLE_SEEDS)
+    for start, seed, row in zip(starts, ORACLE_SEEDS.tolist(), rows):
+        np.testing.assert_array_equal(row, start[fisher_yates(9, seed)])
+    with pytest.raises(ValueError, match="rows of starting values"):
+        rng.permutation_rows(starts[:-1], ORACLE_SEEDS)
+
+
 def test_permutation_rows_matches_single_permutation():
     seeds = rng.substream_seeds(7, 5)
     matrix = rng.permutation_rows(np.arange(8), seeds)
