@@ -55,7 +55,7 @@ from .spectral import (
     center,
     chebyshev_t,
     dft_at,
-    fisher_statistic,
+    fisher_g,
     spectral_identity,
     standardized_intensity,
     unitary_dft_matrix,
@@ -90,7 +90,7 @@ __all__ = [
     "dft_at",
     "empirical_cdf",
     "exceedance_count",
-    "fisher_statistic",
+    "fisher_g",
     "full_scale_config",
     "gen_noise",
     "gen_sinusoid",

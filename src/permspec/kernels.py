@@ -41,6 +41,7 @@ def null_msi(rows: np.ndarray, scale: float) -> np.ndarray:
     return np.concatenate(peaks) * scale
 
 
-def msi_scale(n: int, sample_variance: float) -> float:
-    """The factor turning raw FFT moduli into scaled intensities."""
-    return 1.0 / (math.sqrt(n) * math.sqrt(sample_variance))
+def msi_scale(n: int, sample_variance):
+    """The factor turning raw FFT moduli into scaled intensities, for one
+    sample variance or elementwise for an array of them."""
+    return 1.0 / (math.sqrt(n) * np.sqrt(sample_variance))

@@ -10,6 +10,7 @@ need their decision at one level share :func:`count_rejections`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -135,6 +136,7 @@ def _p_value_of(exceedances: int, permutations: int) -> float:
     return exceedances / permutations
 
 
+@lru_cache(maxsize=16)  # each group of a power cell asks for the same count
 def _most_rejecting(alpha: float, permutations: int) -> int:
     """The largest exceedance count b with p-value b/M <= ``alpha`` (-1 if
     none).  The rule's own float expression decides each b, so no rounding
@@ -144,51 +146,40 @@ def _most_rejecting(alpha: float, permutations: int) -> int:
     return max((b for b in counts if _p_value_of(b, permutations) <= alpha), default=-1)
 
 
-def count_rejections(tests, permutations: int, alpha: float) -> int:
-    """How many of ``tests``, ``(series, master_seed)`` pairs of series of
-    one length, reject at level ``alpha``: those whose :func:`run_test` with
-    ``PermutationPlan(master_seed, permutations)`` gives p_value <= alpha.
+def decision_group(unit_bytes: int, permutations: int) -> int:
+    """How many tests with unit rows of ``unit_bytes`` one
+    :func:`count_rejections` call should hold: enough that its first round
+    fills ``DECISION_ROUND_BYTES`` of rows, or M rows where that is more
+    (as one test's simulate_null would), up to ``ROW_BLOCK_BYTES``."""
+    block = min(DECISION_BLOCK, permutations)
+    round_bytes = min(max(DECISION_ROUND_BYTES, permutations * unit_bytes), ROW_BLOCK_BYTES)
+    return max(1, round_bytes // (block * unit_bytes))
+
+
+def count_rejections(units, scales, master_seeds, permutations: int, alpha: float) -> int:
+    """How many of a group of tests of one length reject at level
+    ``alpha``: those whose :func:`run_test` with ``PermutationPlan(seed,
+    permutations)`` gives p_value <= alpha.  Test i is given by its unit
+    deviations ``units[i]`` (:meth:`TimeSeries.spread`), its
+    :func:`kernels.msi_scale` ``scales[i]`` and its uint64
+    ``master_seeds[i]``; :func:`decision_group` sizes a group.
 
     The count is exact, but a test stops as soon as its decision is
     settled: once its exceedances pass the largest count that rejects, or
     stay within it even if every remaining simulation exceeds.  Simulation
     m of a test is a pure function of (master_seed, m), so the simulations
-    it skips could not have changed it.  ``tests`` is read lazily, one
-    group of tests at a time, so memory does not grow with their number.
+    it skips could not have changed it.  Each round shuffles and scores the
+    next block of simulations of every undecided test at once.
     """
     check_permutations(permutations)
     most = _most_rejecting(alpha, permutations)
-    block = min(DECISION_BLOCK, permutations)
-    rejections = 0
-    group = []
-    for series, master_seed in tests:
-        rng.check_seed(master_seed)
-        ts = as_time_series(series)
-        unit, variance, _ = ts.spread()
-        group.append((unit, kernels.msi_scale(ts.n, variance), master_seed))
-        round_bytes = min(max(DECISION_ROUND_BYTES, permutations * unit.nbytes), ROW_BLOCK_BYTES)
-        if (len(group) + 1) * block * unit.nbytes > round_bytes:
-            rejections += _group_rejections(group, permutations, most)
-            group = []
-    if group:
-        rejections += _group_rejections(group, permutations, most)
-    return rejections
-
-
-def _group_rejections(group, permutations: int, most: int) -> int:
-    """Rejections among ``(unit, scale, master_seed)`` tests, in rounds that
-    shuffle and score the next block of simulations of every undecided
-    test at once; ``most`` is the largest exceedance count that rejects."""
-    units = np.stack([unit for unit, _, _ in group])
-    scales = np.array([scale for _, scale, _ in group])
-    seeds = np.array([seed for _, _, seed in group], dtype=np.uint64)
     # the unshuffled rows are the identity permutation: the observed MSIs
     thresholds = _tie_threshold(kernels.null_msi(units, scales))
-    exceedances = np.zeros(len(group), dtype=np.intp)
+    exceedances = np.zeros(len(units), dtype=np.intp)
     rejections = done = 0
     while exceedances.size:
         size = min(DECISION_BLOCK, permutations - done)
-        row_seeds = rng.substream_seeds(seeds, size, done).reshape(-1)
+        row_seeds = rng.substream_seeds(master_seeds, size, done).reshape(-1)
         # one expression, so no round's rows outlive it into the next
         null = kernels.null_msi(
             rng.permutation_rows(np.repeat(units, size, axis=0), row_seeds), np.repeat(scales, size)
@@ -198,8 +189,8 @@ def _group_rejections(group, permutations: int, most: int) -> int:
         rejected = exceedances + (permutations - done) <= most
         undecided = ~rejected & (exceedances <= most)
         rejections += int(np.count_nonzero(rejected))
-        units, scales, seeds, thresholds, exceedances = (
-            values[undecided] for values in (units, scales, seeds, thresholds, exceedances)
+        units, scales, master_seeds, thresholds, exceedances = (
+            values[undecided] for values in (units, scales, master_seeds, thresholds, exceedances)
         )
     return rejections
 

@@ -14,10 +14,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .permutation import check_confidence, count_rejections, wilson_interval
+import numpy as np
+
+from .kernels import msi_scale
+from .permutation import check_confidence, check_permutations, count_rejections, decision_group, wilson_interval
 from .report import from_record, to_record
 from .rng import check_seed, seed_chain
-from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, random_composite
+from .series import spread_rows
+from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
 
 _DISTRIBUTION_IDS = {name: index + 1 for index, name in enumerate(DISTRIBUTIONS)}
 
@@ -29,8 +33,8 @@ DESK_SCALE = dict(
     permutations=200,
 )
 
-# Full reference grid; about 21 min on one core of a Xeon VM (a K=500 run
-# of every cell took 64 s).
+# Full reference grid; about 25 min on one core of a shared Xeon VM (a
+# K=500 run of every cell took 74 s).
 FULL_SCALE = dict(
     n_values=(30, 60, 120, 240),
     snr_values=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
@@ -38,8 +42,8 @@ FULL_SCALE = dict(
     permutations=1_000,
 )
 
-_NOISE_ROLE = 0
-_TEST_ROLE = 1
+# seed_chain's last component: a replicate's noise seed, then its test seed
+_ROLES = np.array([[0], [1]])
 
 
 @dataclass(frozen=True)
@@ -137,18 +141,22 @@ def run_cell(
 ) -> PowerCell:
     """Estimate power for one cell; deterministic given ``cell_seed``.
 
-    Replicate r is the series of noise seed ``seed_chain(cell_seed, r, 0)``
-    tested with master seed ``seed_chain(cell_seed, r, 1)``.  Replicates are
-    made as the test needs them, so memory does not grow with their number.
+    Replicate r is ``random_composite`` of noise seed ``seed_chain(cell_seed,
+    r, 0)`` tested with master seed ``seed_chain(cell_seed, r, 1)``.  The
+    replicates are made and decided a block at a time, as arrays, so memory
+    does not grow with their number and no object is built per replicate.
     """
-    tests = (
-        (
-            random_composite(distribution, n, snr, seed=seed_chain(cell_seed, replicate, _NOISE_ROLE)).series,
-            seed_chain(cell_seed, replicate, _TEST_ROLE),
-        )
-        for replicate in range(replicates)
-    )
-    rejections = count_rejections(tests, permutations, alpha)
+    spec = NoiseSpec(distribution, n)
+    check_snr(snr)
+    check_permutations(permutations)
+    rejections = 0
+    block = decision_group(8 * n, permutations)  # float64 unit rows
+    for first in range(0, replicates, block):
+        index = np.arange(first, min(first + block, replicates), dtype=np.uint64)
+        noise_seeds, test_seeds = seed_chain(cell_seed, index, _ROLES)
+        values, _, _ = composite_block(spec, snr, noise_seeds)
+        units, variances, _ = spread_rows(values)
+        rejections += count_rejections(units, msi_scale(n, variances), test_seeds, permutations, alpha)
     low, high = wilson_interval(rejections, replicates, confidence)
     return PowerCell(
         distribution=distribution,

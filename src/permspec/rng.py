@@ -3,10 +3,10 @@
 Two kinds of streams are used:
 
 * splitmix64 counter streams for permutations.  Each stream is identified
-  by a 64-bit seed; draw ``k`` of a stream is ``mix64(seed + k * GOLDEN)``,
-  a pure function of (seed, k).  This makes batches of Fisher-Yates
-  shuffles cheap to vectorise and lets simulations run in any order (or in
-  parallel) with identical results.
+  by a 64-bit seed; draw ``k`` of a stream is the splitmix64 finalizer of
+  ``seed + k * GOLDEN``, a pure function of (seed, k).  This makes batches
+  of Fisher-Yates shuffles cheap to vectorise and lets simulations run in
+  any order (or in parallel) with identical results.
 * numpy ``Philox`` generators, keyed through the same mixing, for noise
   and signal-frequency draws where we want the library distributions.
 
@@ -39,17 +39,10 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"master_seed must fit in 64 unsigned bits, got {seed}")
 
 
-def mix64(value: int) -> int:
-    """splitmix64 finalizer on a Python int, reduced mod 2**64."""
-    z = value & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def mix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finalizer (uint64 in, uint64 out)."""
-    z = values.astype(_U64, copy=True)
+def mix64_array(values) -> np.ndarray:
+    """splitmix64 finalizer of uint64 values: a new uint64 array of their
+    shape, 0-d included, with every product wrapping mod 2**64."""
+    z = np.array(values, dtype=_U64)  # an array even for one value: ufuncs wrap silently
     return _mix64_inplace(z, np.empty_like(z))
 
 
@@ -64,22 +57,27 @@ def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def seed_chain(*components: int) -> int:
+def seed_chain(*components):
     """Fold integer identifiers into one 64-bit seed.
 
-    Order-sensitive, so (a, b) and (b, a) land in unrelated streams.
+    Order-sensitive, so (a, b) and (b, a) land in unrelated streams.  Each
+    component is reduced mod 2**64.  A component may be an integer array,
+    such as a block of replicate indices: the components then broadcast,
+    and the result is a uint64 array with the seed of each element.
     """
-    h = _CHAIN_SALT
+    h = np.array(_CHAIN_SALT, dtype=_U64)
     for c in components:
-        h = mix64((h + GOLDEN) ^ mix64(int(c) & _MASK64))
-    return h
+        c = int(c) & _MASK64 if np.ndim(c) == 0 else np.asarray(c).astype(_U64)
+        h = mix64_array((h + _GOLDEN_U64) ^ mix64_array(c))
+    return int(h) if h.ndim == 0 else h
 
 
-def philox_key(*components: int) -> int:
-    """128-bit Philox key derived from integer identifiers."""
-    k0 = seed_chain(*components)
-    k1 = mix64(k0 + GOLDEN)
-    return k0 | (k1 << 64)
+def philox_key(*components) -> np.ndarray:
+    """The two 64-bit words (low, high) of a Philox key derived from
+    integer identifiers; for array components (see :func:`seed_chain`) a
+    last axis of length 2 follows their broadcast shape."""
+    k0 = np.asarray(seed_chain(*components), dtype=_U64)
+    return np.stack([k0, mix64_array(k0 + _GOLDEN_U64)], axis=-1)
 
 
 def philox_generator(*components: int) -> np.random.Generator:
@@ -87,10 +85,27 @@ def philox_generator(*components: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=philox_key(*components)))
 
 
+def philox_generators(*components):
+    """The Generator of :func:`philox_generator` for each element of the
+    broadcast components, in order.
+
+    One Philox object serves them all: before each is yielded it is
+    re-keyed, with its counter and buffers reset to those of a new one, so
+    a yielded Generator is valid until the next is taken.
+    """
+    bit_generator = np.random.Philox(key=0)
+    generator = np.random.Generator(bit_generator)
+    fresh = bit_generator.state  # counter 0 and empty buffers
+    for key in philox_key(*components).reshape(-1, 2).tolist():
+        fresh["state"]["key"] = key
+        bit_generator.state = fresh
+        yield generator
+
+
 def substream_seeds(base_seed, count: int, first: int = 0) -> np.ndarray:
     """Seeds of substreams ``first .. first + count - 1`` of ``base_seed``.
 
-    Seed ``i`` is ``mix64(base_seed + (i + 1) * GOLDEN)``: a pure function
+    Seed ``i`` is ``mix64_array(base_seed + (i + 1) * GOLDEN)``: a pure function
     of (base_seed, i), independent of which substreams are requested.  For a
     uint64 array of base seeds the result has one row of seeds per base.
     """

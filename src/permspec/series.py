@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,8 +43,7 @@ class TimeSeries:
             raise TypeError(f"series values must be numeric, got dtype {arr.dtype}")
         else:
             arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("series values must all be finite")
+        check_finite(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -85,25 +83,55 @@ class TimeSeries:
         constant series, where every scaled intensity is 0/0.
         """
         unit, variance, exponent = self._unit_spread
-        if variance == 0.0:
-            raise DegenerateSeriesError(
-                "constant series: sample variance is zero, scaled intensity undefined"
-            )
+        check_varies(variance)
         return unit, variance, exponent
 
     @cached_property
     def _unit_spread(self) -> tuple[np.ndarray, float, int]:
         # once per series: a test needs it for the observed MSI and the null
-        largest = np.abs(self.values.view(np.float64)).max()  # real and imaginary parts
-        exponent = math.frexp(largest)[1]
-        values = times_power_of_two(self.values, -exponent)
-        if np.all(self.values == self.values[0]):
-            # exactly constant, even where the mean rounds (seven 0.1s)
-            unit = np.zeros_like(values)
-        else:
-            unit = values - values.mean()
+        units, variances, exponents = _unit_spread_rows(self.values[None])
+        unit = units[0]
         unit.flags.writeable = False
-        return unit, float(np.real(np.vdot(unit, unit))) / (self.n - 1), exponent
+        return unit, float(variances[0]), int(exponents[0])
+
+
+def check_finite(values: np.ndarray) -> None:
+    """Reject values that are not all finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("series values must all be finite")
+
+
+def check_varies(variances) -> None:
+    """Reject a sample variance of zero (one, or any of an array): the
+    scaled intensities of a constant series are 0/0."""
+    if np.any(np.asarray(variances) == 0.0):
+        raise DegenerateSeriesError(
+            "constant series: sample variance is zero, scaled intensity undefined"
+        )
+
+
+def _unit_spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arithmetic of :meth:`TimeSeries.spread` for each row of a finite
+    ``(rows, n)`` real or complex array, unchecked: the unit deviations,
+    their variances (0.0 for a constant row) and the exponents."""
+    largest = np.abs(rows.view(np.float64)).max(axis=1)  # real and imaginary parts
+    exponents = np.frexp(largest)[1]
+    values = times_power_of_two(rows, -exponents[:, None])
+    units = values - values.mean(axis=1, keepdims=True)
+    # exactly constant, even where the mean rounds (seven 0.1s)
+    units[np.all(rows == rows[:, :1], axis=1)] = 0.0
+    variances = np.array([np.real(np.vdot(unit, unit)) for unit in units]) / (rows.shape[1] - 1)
+    return units, variances, exponents
+
+
+def spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``TimeSeries(row).spread()`` of each row of a ``(rows, n)`` float64
+    array, bit for bit and with the same checks, as the arrays
+    ``(units, variances, exponents)``: no TimeSeries per row."""
+    check_finite(rows)
+    units, variances, exponents = _unit_spread_rows(rows)
+    check_varies(variances)
+    return units, variances, exponents
 
 
 def times_power_of_two(values: np.ndarray, exponent: int) -> np.ndarray:

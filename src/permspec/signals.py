@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import check_seed, philox_generator
+from .rng import check_seed, philox_generators
 from .series import TimeSeries, check_length
 
 DISTRIBUTIONS = ("normal", "t2")
@@ -68,21 +68,24 @@ def gen_noise(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_t(2, size=spec.n)
 
 
-def gen_sinusoid(n: int, frequency: float, amplitude: float = 1.0) -> np.ndarray:
-    """``amplitude * cos(2*pi*frequency*t)`` for t = 0 .. n-1."""
-    if not 0.0 < frequency < 0.5:
+def gen_sinusoid(n: int, frequency, amplitude: float = 1.0) -> np.ndarray:
+    """``amplitude * cos(2*pi*frequency*t)`` for t = 0 .. n-1; for an array
+    of frequencies, one row per frequency."""
+    frequency = np.asarray(frequency, dtype=np.float64)
+    if not np.all((0.0 < frequency) & (frequency < 0.5)):
         raise ValueError(
             f"frequency must lie strictly inside (0, 0.5), got {frequency}"
         )
-    return amplitude * np.cos(2.0 * np.pi * frequency * np.arange(n))
+    return amplitude * np.cos(np.multiply.outer(2.0 * np.pi * frequency, np.arange(n)))
 
 
-def normalize_magnitude(signal: np.ndarray, noise: np.ndarray) -> float:
-    """Scale factor c with sum|c * signal| = sum|noise|."""
-    signal_mag = float(np.abs(signal).sum())
-    if signal_mag == 0.0:
+def normalize_magnitude(signal: np.ndarray, noise: np.ndarray) -> float | np.ndarray:
+    """Scale factor c with sum|c * signal| = sum|noise|, summed along the
+    last axis: one factor per row of 2-D arrays."""
+    signal_mag = np.abs(signal).sum(axis=-1)
+    if np.any(signal_mag == 0.0):
         raise ValueError("cannot normalise a signal that is identically zero")
-    return float(np.abs(noise).sum()) / signal_mag
+    return np.abs(noise).sum(axis=-1) / signal_mag
 
 
 def compose(snr: float, signal: np.ndarray, noise: np.ndarray) -> TimeSeries:
@@ -96,29 +99,44 @@ def compose(snr: float, signal: np.ndarray, noise: np.ndarray) -> TimeSeries:
     return TimeSeries(snr * signal + noise)
 
 
+def composite_block(
+    spec: NoiseSpec, snr: float, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The replicates of :func:`random_composite` for a uint64 array of
+    noise seeds, as arrays: their ``(len(seeds), n)`` series values, one row
+    per seed, their signal frequencies and their amplitudes.
+
+    Each seed's draws come first, in a fixed order (frequency, then noise),
+    so a seed fully determines its row; the arithmetic then runs on the
+    whole block.  The frequency is uniform on the open interval (0, 1/2);
+    the boundary draw has probability ~2**-53 and is rejected.  ``snr``
+    and the seeds are the caller's to check.
+    """
+    noise = np.empty((len(seeds), spec.n))
+    frequencies = np.empty(len(seeds))
+    for row, generator in enumerate(philox_generators(seeds)):
+        frequency = generator.uniform(0.0, 0.5)
+        while frequency == 0.0:
+            frequency = generator.uniform(0.0, 0.5)
+        frequencies[row] = frequency
+        noise[row] = gen_noise(spec, generator)
+    unit_signals = gen_sinusoid(spec.n, frequencies)
+    amplitudes = normalize_magnitude(unit_signals, noise)
+    return snr * (amplitudes[:, None] * unit_signals) + noise, frequencies, amplitudes
+
+
 def random_composite(
     distribution: str, n: int, snr: float, seed: int
 ) -> CompositeSeries:
-    """One fresh replicate: random frequency, fresh noise, magnitude-matched.
-
-    Draw order is fixed (frequency, then noise) so a seed fully determines
-    the replicate.  The frequency is uniform on the open interval (0, 1/2);
-    the boundary draw has probability ~2**-53 and is rejected.
-    """
+    """One fresh replicate: random frequency, fresh noise, magnitude-matched;
+    the one-seed case of :func:`composite_block`."""
     check_snr(snr)
     check_seed(seed)
     spec = NoiseSpec(distribution=distribution, n=n)
-    generator = philox_generator(seed)
-    frequency = generator.uniform(0.0, 0.5)
-    while frequency == 0.0:
-        frequency = generator.uniform(0.0, 0.5)
-    noise = gen_noise(spec, generator)
-    unit_signal = gen_sinusoid(n, frequency)
-    amplitude = normalize_magnitude(unit_signal, noise)
-    series = compose(snr, amplitude * unit_signal, noise)
+    values, frequencies, amplitudes = composite_block(spec, snr, np.array([seed], dtype=np.uint64))
     return CompositeSeries(
-        series=series,
+        series=TimeSeries(values[0]),
         snr=snr,
-        signal=SignalSpec(frequency=frequency, amplitude=amplitude),
+        signal=SignalSpec(frequency=float(frequencies[0]), amplitude=float(amplitudes[0])),
         noise_seed=seed,
     )

@@ -2,8 +2,8 @@
 
 Everything here is a pure function of its inputs: centering, the unitary
 DFT over the fundamental frequencies, intensity and scaled-intensity
-vectors, the maximum scaled intensity (MSI) test statistic, and the
-autocovariance / Chebyshev expansion of the squared scaled intensity.
+vectors, the maximum scaled intensity (MSI) test statistic, Fisher's g, and
+the autocovariance / Chebyshev expansion of the squared scaled intensity.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .errors import DegenerateSeriesError
 from .series import as_time_series, times_power_of_two
 
 
@@ -104,13 +105,28 @@ def analyze_spectrum(series) -> SpectrumAnalysis:
     return analysis
 
 
-def fisher_statistic(analysis: SpectrumAnalysis) -> float:
-    """Largest share of the total spectral energy: ``msi**2 / (n - 1)``.
+def fisher_g(series) -> float:
+    """Fisher's g of a real series: the largest periodogram ordinate over
+    the Fourier frequencies k/n, k = 1 .. m with m = (n-1)//2, divided by
+    the sum of those ordinates.
 
-    Strictly monotone in the MSI, so a test based on either statistic
-    rejects on the same series; this one lives in (0, 1].
+    The zero frequency and, for even n, the Nyquist bin k = n/2 are left
+    out, as in Fisher (1929), so g lies in [1/m, 1]: 1 for a pure cosine at
+    a Fourier frequency, and ``msi**2 / m`` for odd n.  The ordinates are
+    the squared scaled intensities, whose common scale cancels.  Raises
+    DegenerateSeriesError when they sum to zero: a constant series, or for
+    even n one whose variation is all in the Nyquist bin.
     """
-    return analysis.msi**2 / (analysis.n - 1)
+    ts = as_time_series(series)
+    if ts.is_complex:
+        raise ValueError("Fisher's g is defined for real series only")
+    ordinates = analyze_spectrum(ts).scaled_intensity[1 : (ts.n - 1) // 2 + 1] ** 2
+    total = ordinates.sum()
+    if total == 0.0:
+        raise DegenerateSeriesError(
+            "no variation below the Nyquist frequency: Fisher's g is 0/0"
+        )
+    return float(ordinates.max() / total)
 
 
 def standardized_intensity(analysis: SpectrumAnalysis, sigma: float) -> np.ndarray:

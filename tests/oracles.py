@@ -24,6 +24,15 @@ def splitmix64(z):
     return z ^ (z >> 31)
 
 
+def seed_chain(*components):
+    """The order-sensitive fold of integer identifiers into one 64-bit seed,
+    on Python ints: each step mixes in ``splitmix64(c mod 2**64)``."""
+    h = 0x8E2A1BB1D3D7F5A3
+    for c in components:
+        h = splitmix64(((h + _GOLDEN) & _MASK64) ^ splitmix64(c & _MASK64))
+    return h
+
+
 def fisher_yates(n, stream_seed):
     """The order of ``range(n)`` that one splitmix64 stream shuffles it into:
     step i = n-1 .. 1 swaps positions i and ``draw_k % (i+1)``, where draw
@@ -61,6 +70,14 @@ def naive_msi(values):
     """Maximum scaled intensity over the non-zero fundamental frequencies."""
     s = math.sqrt(naive_sample_variance(values))
     return max(naive_intensities(values)[1:]) / s
+
+
+def naive_fisher_g(values):
+    """Fisher's g by direct DFT: the largest squared centred-DFT modulus over
+    k = 1 .. (n-1)//2, divided by their sum."""
+    n = len(values)
+    ordinates = [abs(naive_dft_at(values, k / n)) ** 2 for k in range(1, (n - 1) // 2 + 1)]
+    return max(ordinates) / sum(ordinates)
 
 
 def exhaustive_null_msi(values):

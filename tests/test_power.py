@@ -2,19 +2,25 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from oracles import reference_cell_tests
 from permspec import (
     PowerTable,
     StudyConfig,
+    TimeSeries,
+    kernels,
     load_table,
+    power,
+    random_composite,
     run_cell,
     run_grid,
     save_table,
 )
-from permspec.permutation import DECISION_BLOCK, DECISION_ROUND_BYTES
+from permspec.permutation import DECISION_BLOCK, DECISION_ROUND_BYTES, decision_group
 from permspec.power import render_table
+from permspec.rng import seed_chain
 
 
 def tiny_config(**overrides):
@@ -139,6 +145,86 @@ class TestEarlyDecisions:
         _, expected = self.reference_rejections(distribution, n, snr, replicates, permutations, alpha, 11)
         cell = run_cell(distribution, n, snr, replicates, permutations, alpha, cell_seed=11)
         assert cell.rejections == expected
+
+
+class TestBlockReplicates:
+    """run_cell builds its replicates a block at a time, as arrays, and
+    they are exactly the replicates of the one-series API."""
+
+    @staticmethod
+    def spy(monkeypatch, name, calls):
+        original = getattr(power, name)
+
+        def recorded(*args):
+            result = original(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(power, name, recorded)
+
+    @pytest.mark.parametrize("snr", [0.0, 0.4])
+    @pytest.mark.parametrize("n", [3, 30, 61])
+    @pytest.mark.parametrize("distribution", ["normal", "t2"])
+    def test_rows_are_the_one_series_replicates(self, monkeypatch, distribution, n, snr):
+        """Every row equals ``random_composite(...).series.values`` bit for
+        bit, its unit, variance and exponent equal ``TimeSeries.spread()``,
+        its scale is their msi_scale, and its test seed is
+        ``seed_chain(cell_seed, r, 1)``; K ends in a partial block."""
+        permutations, cell_seed = 20, 77
+        block = decision_group(8 * n, permutations)
+        replicates = 2 * block + 3 if block < 100 else block + 3
+        blocks, spreads, decisions = [], [], []
+        self.spy(monkeypatch, "composite_block", blocks)
+        self.spy(monkeypatch, "spread_rows", spreads)
+        self.spy(monkeypatch, "count_rejections", decisions)
+        run_cell(distribution, n, snr, replicates, permutations, 0.05, cell_seed)
+
+        assert [len(result[0]) for _, result in blocks] == [block] * (replicates // block) + [replicates % block]
+        values = np.concatenate([result[0] for _, result in blocks])
+        units, variances, exponents = (np.concatenate(parts) for parts in zip(*(result for _, result in spreads)))
+        scales = np.concatenate([args[1] for args, _ in decisions])
+        seeds = np.concatenate([args[2] for args, _ in decisions])
+        np.testing.assert_array_equal(np.concatenate([args[0] for args, _ in decisions]), units)
+        for r in range(replicates):
+            series = random_composite(distribution, n, snr, seed=seed_chain(cell_seed, r, 0)).series
+            assert values[r].tobytes() == series.values.tobytes()
+            unit, variance, exponent = series.spread()
+            assert units[r].tobytes() == unit.tobytes()
+            assert (variances[r], exponents[r]) == (variance, exponent)
+            assert scales[r] == kernels.msi_scale(n, variance)
+            assert int(seeds[r]) == seed_chain(cell_seed, r, 1)
+
+    @pytest.mark.parametrize(
+        "distribution,n,snr,message",
+        [("cauchy", 30, 0.4, "distribution"), ("normal", 30, -0.5, "lambda"), ("normal", 2, 0.4, "at least 3")],
+        ids=["distribution", "negative-lambda", "n-2"],
+    )
+    def test_bad_input_raises_before_any_draw(self, monkeypatch, distribution, n, snr, message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a Philox generator was built")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        with pytest.raises(ValueError, match=message):
+            run_cell(distribution, n, snr, replicates=10, permutations=20, alpha=0.05, cell_seed=1)
+
+    def test_no_object_per_replicate(self, monkeypatch):
+        """One Philox generator per block, and no TimeSeries at all."""
+        built = {"Philox": 0, "TimeSeries": 0}
+        philox, post_init = np.random.Philox, TimeSeries.__post_init__
+
+        def counted_philox(*args, **kwargs):
+            built["Philox"] += 1
+            return philox(*args, **kwargs)
+
+        def counted_post_init(self):
+            built["TimeSeries"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(np.random, "Philox", counted_philox)
+        monkeypatch.setattr(TimeSeries, "__post_init__", counted_post_init)
+        block = decision_group(8 * 30, 40)
+        run_cell("t2", 30, 0.4, 2 * block + 1, 40, 0.05, cell_seed=5)
+        assert built == {"Philox": 3, "TimeSeries": 0}
 
 
 class TestMemory:

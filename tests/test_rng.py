@@ -1,9 +1,10 @@
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import fisher_yates
+from oracles import fisher_yates, seed_chain, splitmix64
 from permspec import rng
 
 # stream seeds of the oracle tests: both ends of the 64-bit range and a
@@ -17,7 +18,24 @@ def test_mix64_scalar_and_array_agree():
     values = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
     mixed = rng.mix64_array(values)
     for raw, out in zip(values.tolist(), mixed.tolist()):
-        assert rng.mix64(raw) == out
+        assert splitmix64(raw) == out
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.uint64(5), np.array(2**64 - 1, dtype=np.uint64), np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+     np.arange(6, dtype=np.uint64).reshape(2, 3) * np.uint64(rng.GOLDEN)],
+    ids=["numpy-scalar", "0-d", "1-d", "2-d"],
+)
+def test_mix64_array_wraps_silently_for_every_shape(values):
+    """Every product wraps mod 2**64 without an overflow warning, and each
+    element is the Python-int finalizer of the oracle."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = rng.mix64_array(values)
+    assert mixed.shape == np.shape(values) and mixed.dtype == np.uint64
+    for raw, out in zip(np.ravel(values).tolist(), np.ravel(mixed).tolist()):
+        assert out == splitmix64(raw)
 
 
 def test_seed_chain_is_order_sensitive():
@@ -26,12 +44,51 @@ def test_seed_chain_is_order_sensitive():
     assert 0 <= rng.seed_chain(123, 456) < 2**64
 
 
+@pytest.mark.parametrize(
+    "components", [(0,), (5, 1), (123, 456, 7), (2**64 - 1, 2**63, 0), (-1, 3), (2**64 + 9, 2)]
+)
+def test_seed_chain_matches_the_oracle(components):
+    """Python ints, reduced mod 2**64, give the oracle's int."""
+    seed = rng.seed_chain(*components)
+    assert type(seed) is int and seed == seed_chain(*components)
+
+
+def test_seed_chain_of_arrays_gives_each_elements_seed():
+    """Array components broadcast: a block of replicate indices, with a row
+    per role, gives the seed of every (index, role) pair."""
+    index = np.arange(7, dtype=np.uint64) + np.uint64(2**63 - 3)
+    roles = np.array([[0], [1]])
+    seeds = rng.seed_chain(2**64 - 5, index, roles)
+    assert seeds.shape == (2, 7) and seeds.dtype == np.uint64
+    for role in (0, 1):
+        assert seeds[role].tolist() == [seed_chain(2**64 - 5, i, role) for i in index.tolist()]
+
+
 def test_philox_generators_are_reproducible_and_distinct():
     a1 = rng.philox_generator(5, 1).standard_normal(4)
     a2 = rng.philox_generator(5, 1).standard_normal(4)
     b = rng.philox_generator(5, 2).standard_normal(4)
     np.testing.assert_array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+def test_philox_generators_rekey_one_generator_as_fresh_ones():
+    """Each yielded Generator draws what a new philox_generator of its seed
+    draws, though the previous one left half of a 64-bit word and part of a
+    Philox block unused."""
+
+    def draws(generator):
+        return [
+            generator.integers(0, 2**32, dtype=np.uint32),
+            *generator.standard_normal(3),
+            generator.uniform(0.0, 0.5),
+            *generator.standard_t(2, 5),
+            generator.integers(0, 2**32, dtype=np.uint32),
+        ]
+
+    seeds = np.array([0, 7, 2**64 - 1, 7], dtype=np.uint64)
+    for seed, generator in zip(seeds.tolist(), rng.philox_generators(seeds)):
+        assert draws(generator) == draws(rng.philox_generator(seed))
 
 
 def test_substream_seeds_are_pure_functions_of_index():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from permspec import DegenerateSeriesError, TimeSeries, analyze_spectrum, as_time_series
+from permspec.series import spread_rows
 
 
 def test_accepts_lists_and_arrays():
@@ -78,3 +79,23 @@ def test_constant_series_is_degenerate_whatever_its_mean_rounds_to(values):
         ts.spread()
     with pytest.raises(DegenerateSeriesError):
         analyze_spectrum(values)
+
+
+def test_spread_rows_is_each_rows_series_spread():
+    """Rows of very different magnitudes, rounded values and n = 3: each
+    row's unit, variance and exponent are those of its TimeSeries, bit for
+    bit, and a non-finite or a constant row is rejected like a series."""
+    generator = np.random.default_rng(4)
+    for n in (3, 8, 61):
+        rows = generator.standard_normal((5, n)) * np.array([[1.0], [1e-300], [1e300], [3.7], [1.0]])
+        rows[4] = np.round(rows[4], 1) + 0.1
+        units, variances, exponents = spread_rows(rows)
+        for row, unit, variance, exponent in zip(rows, units, variances, exponents):
+            expected_unit, expected_variance, expected_exponent = TimeSeries(row).spread()
+            assert unit.tobytes() == expected_unit.tobytes()
+            assert (variance, exponent) == (expected_variance, expected_exponent)
+        for bad, error in ((np.inf, ValueError), (np.nan, ValueError), (None, DegenerateSeriesError)):
+            broken = rows.copy()
+            broken[2] = 0.1 if bad is None else [bad] + [0.0] * (n - 1)
+            with pytest.raises(error, match="finite" if error is ValueError else "constant"):
+                spread_rows(broken)

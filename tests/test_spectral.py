@@ -11,13 +11,13 @@ from permspec import (
     center,
     chebyshev_t,
     dft_at,
-    fisher_statistic,
+    fisher_g,
     spectral_identity,
     standardized_intensity,
     unitary_dft_matrix,
 )
 
-from oracles import naive_dft_at, naive_msi
+from oracles import naive_dft_at, naive_fisher_g, naive_msi
 
 ALTERNATING = [1.0, -1.0, 1.0, -1.0]
 
@@ -165,19 +165,41 @@ class TestAnalyzeSpectrum:
 
 
 class TestFisherStatistic:
+    """Fisher's g: the largest periodogram ordinate over k = 1 .. (n-1)//2
+    divided by their sum (the zero and Nyquist bins left out)."""
+
     def test_all_energy_in_one_bin_gives_one(self):
-        assert fisher_statistic(analyze_spectrum(ALTERNATING)) == pytest.approx(1.0)
+        """A pure cosine at each Fourier frequency k/n, k = 1 .. (n-1)//2."""
+        for n in (3, 4, 24, 31):
+            for k in range(1, (n - 1) // 2 + 1):
+                cosine = np.cos(2 * np.pi * k * np.arange(n) / n)
+                assert fisher_g(cosine) == pytest.approx(1.0, rel=1e-12), (n, k)
 
     def test_lies_in_unit_interval_and_tracks_msi(self):
+        """Equal to the direct-DFT oracle for odd and even n, in [1/m, 1],
+        and msi**2 / m for odd n (for even n the Nyquist bin is left out)."""
         rng = np.random.default_rng(11)
-        stats = []
-        for _ in range(20):
-            analysis = analyze_spectrum(random_series(rng))
-            value = fisher_statistic(analysis)
-            assert 0.0 < value <= 1.0 + 1e-12
-            stats.append((analysis.msi**2 / (analysis.n - 1), value))
-        for expected, got in stats:
-            assert got == pytest.approx(expected)
+        for _ in range(40):
+            values = random_series(rng)
+            n = values.size
+            m = (n - 1) // 2
+            value = fisher_g(values)
+            assert value == pytest.approx(naive_fisher_g(list(values)), rel=1e-10)
+            assert 1.0 / m * (1 - 1e-12) <= value <= 1.0 + 1e-12
+            if n % 2:
+                assert value == pytest.approx(analyze_spectrum(values).msi ** 2 / m, rel=1e-12)
+
+    def test_nyquist_only_series_is_degenerate(self):
+        """All of the alternating series' variation is in the left-out
+        Nyquist bin, so the ordinates sum to zero."""
+        with pytest.raises(DegenerateSeriesError, match="Nyquist"):
+            fisher_g(ALTERNATING)
+        with pytest.raises(DegenerateSeriesError):
+            fisher_g([0.1] * 7)
+
+    def test_rejects_complex_series(self):
+        with pytest.raises(ValueError, match="real series only"):
+            fisher_g(np.array([1.0, 2.0j, 3.0, -1.0]))
 
 
 class TestStandardizedIntensity:
