@@ -40,7 +40,6 @@ from .signals import (
     DISTRIBUTIONS,
     NoiseSpec,
     SignalSpec,
-    compose,
     gen_noise,
     gen_sinusoid,
     normalize_magnitude,
@@ -57,7 +56,6 @@ from .spectral import (
     dft_at,
     fisher_g,
     spectral_identity,
-    standardized_intensity,
     unitary_dft_matrix,
 )
 
@@ -85,7 +83,6 @@ __all__ = [
     "build_plot_model",
     "center",
     "chebyshev_t",
-    "compose",
     "desk_scale_config",
     "dft_at",
     "empirical_cdf",
@@ -108,7 +105,6 @@ __all__ = [
     "save_table",
     "simulate_null",
     "spectral_identity",
-    "standardized_intensity",
     "summarize_test",
     "unitary_dft_matrix",
     "wilson_interval",

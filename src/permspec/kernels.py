@@ -18,20 +18,18 @@ TILE_BYTES = 1 << 20
 
 
 def transform(values: np.ndarray) -> np.ndarray:
-    """Unnormalised DFT along the last axis: the half spectrum (frequencies
-    0 .. n//2) for real input, the full spectrum for complex input."""
-    if np.iscomplexobj(values):
-        return np.fft.fft(values, axis=-1)
+    """Unnormalised DFT of real rows along the last axis: the half spectrum,
+    frequencies 0 .. n//2; the rest are its conjugates."""
     return np.fft.rfft(values, axis=-1)
 
 
 def null_msi(rows: np.ndarray, scale: float) -> np.ndarray:
     """MSI of each row, a permuted copy of a centered series.
 
-    ``scale`` is :func:`msi_scale` of the series.  For real input the max
-    over all non-zero frequencies equals the max over the half spectrum by
-    conjugate symmetry.  Each row's transform is independent of its tile,
-    so the tiling changes no bit.
+    ``scale`` is :func:`msi_scale` of the series.  The max over all
+    non-zero frequencies equals the max over the half spectrum by conjugate
+    symmetry.  Each row's transform is independent of its tile, so the
+    tiling changes no bit.
     """
     tile = max(1, TILE_BYTES // (rows.shape[1] * rows.itemsize))
     peaks = [

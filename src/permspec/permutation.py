@@ -37,7 +37,7 @@ DECISION_ROUND_BYTES = 256 << 10
 def check_permutations(permutations: int) -> None:
     """Reject a number of null simulations below one."""
     if permutations < 1:
-        raise ValueError(f"need at least one permutation, got {permutations}")
+        raise ValueError(f"need at least one permutation (permutations >= 1), got {permutations}")
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,12 @@ def count_rejections(units, scales, master_seeds, permutations: int, alpha: floa
             values[undecided] for values in (units, scales, master_seeds, thresholds, exceedances)
         )
     return rejections
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a significance level outside the open interval (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def check_confidence(confidence: float) -> None:

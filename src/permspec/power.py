@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import msi_scale
-from .permutation import check_confidence, check_permutations, count_rejections, decision_group, wilson_interval
+from .permutation import (
+    check_alpha,
+    check_confidence,
+    check_permutations,
+    count_rejections,
+    decision_group,
+    wilson_interval,
+)
 from .report import from_record, to_record
 from .rng import check_seed, seed_chain
 from .series import spread_rows
@@ -74,10 +81,10 @@ class StudyConfig:
                 raise ValueError(f"duplicate {label} values in {values}")
         for snr in self.snr_values:
             check_snr(snr)
-        if self.replicates < 1 or self.permutations < 1:
-            raise ValueError("replicates and permutations must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.replicates < 1:
+            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        check_permutations(self.permutations)
+        check_alpha(self.alpha)
         check_confidence(self.confidence)
         check_seed(self.master_seed)
 
@@ -149,6 +156,7 @@ def run_cell(
     spec = NoiseSpec(distribution, n)
     check_snr(snr)
     check_permutations(permutations)
+    check_alpha(alpha)
     rejections = 0
     block = decision_group(8 * n, permutations)  # float64 unit rows
     for first in range(0, replicates, block):

@@ -22,12 +22,13 @@ def check_length(n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Ordered, evenly spaced observations.
+    """Ordered, evenly spaced real observations.
 
-    Values are stored as a read-only 1-D float64 (or complex128) array.
-    Complex series are accepted as a library extension; the CLI and the
-    simulation laboratory only produce real series.  Two series are equal
-    when they have the same dtype and equal values.
+    Values are stored as a read-only 1-D float64 array.  This is the one
+    place that checks the input's type: complex values (even with every
+    imaginary part zero) and non-numeric values raise TypeError, so every
+    computation downstream handles real series only.  Two series are equal
+    when their values are equal.
     """
 
     values: np.ndarray
@@ -38,11 +39,10 @@ class TimeSeries:
             raise ValueError(f"series must be 1-D, got shape {arr.shape}")
         check_length(arr.size)
         if np.iscomplexobj(arr):
-            arr = arr.astype(np.complex128)
-        elif not np.issubdtype(arr.dtype, np.number):
+            raise TypeError(f"series values must be real numbers, got dtype {arr.dtype}")
+        if not np.issubdtype(arr.dtype, np.number):
             raise TypeError(f"series values must be numeric, got dtype {arr.dtype}")
-        else:
-            arr = arr.astype(np.float64)
+        arr = arr.astype(np.float64)
         check_finite(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -50,24 +50,20 @@ class TimeSeries:
     def __eq__(self, other):
         if not isinstance(other, TimeSeries):
             return NotImplemented
-        return self.values.dtype == other.values.dtype and np.array_equal(self.values, other.values)
+        return np.array_equal(self.values, other.values)
 
     def __hash__(self):
         # adding 0.0 turns -0.0 into 0.0, which compares equal to it
-        return hash((self.values.dtype.str, (self.values + 0.0).tobytes()))
+        return hash((self.values + 0.0).tobytes())
 
     @property
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.values)
-
     def centered(self) -> tuple[np.ndarray, float]:
-        """Deviations from the sample mean, and their sample variance (mean
-        squared modulus, n-1 denominator; 0.0 for a constant series): the
-        arithmetic of :meth:`spread`, in data units."""
+        """Deviations from the sample mean, and their sample variance (n-1
+        denominator; 0.0 for a constant series): the arithmetic of
+        :meth:`spread`, in data units."""
         unit, variance, exponent = self._unit_spread
         with np.errstate(over="ignore"):  # beyond the float range reads inf
             return times_power_of_two(unit, exponent), float(np.ldexp(variance, 2 * exponent))
@@ -112,15 +108,15 @@ def check_varies(variances) -> None:
 
 def _unit_spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arithmetic of :meth:`TimeSeries.spread` for each row of a finite
-    ``(rows, n)`` real or complex array, unchecked: the unit deviations,
-    their variances (0.0 for a constant row) and the exponents."""
-    largest = np.abs(rows.view(np.float64)).max(axis=1)  # real and imaginary parts
+    ``(rows, n)`` float64 array, unchecked: the unit deviations, their
+    variances (0.0 for a constant row) and the exponents."""
+    largest = np.abs(rows).max(axis=1)
     exponents = np.frexp(largest)[1]
     values = times_power_of_two(rows, -exponents[:, None])
     units = values - values.mean(axis=1, keepdims=True)
     # exactly constant, even where the mean rounds (seven 0.1s)
     units[np.all(rows == rows[:, :1], axis=1)] = 0.0
-    variances = np.array([np.real(np.vdot(unit, unit)) for unit in units]) / (rows.shape[1] - 1)
+    variances = np.array([np.dot(unit, unit) for unit in units]) / (rows.shape[1] - 1)
     return units, variances, exponents
 
 
@@ -135,8 +131,9 @@ def spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def times_power_of_two(values: np.ndarray, exponent: int) -> np.ndarray:
-    """``values * 2**exponent`` for a real or complex array: exact unless the
-    result leaves the normal float range (inf, or lost low bits)."""
+    """``values * 2**exponent`` for a real or complex array (a spectrum is
+    complex even for a real series): exact unless the result leaves the
+    normal float range (inf, or lost low bits)."""
     return np.ldexp(values.view(np.float64), exponent).view(values.dtype)
 
 

@@ -88,17 +88,6 @@ def normalize_magnitude(signal: np.ndarray, noise: np.ndarray) -> float | np.nda
     return np.abs(noise).sum(axis=-1) / signal_mag
 
 
-def compose(snr: float, signal: np.ndarray, noise: np.ndarray) -> TimeSeries:
-    """Elementwise ``snr * signal + noise`` as a TimeSeries."""
-    signal = np.asarray(signal, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if signal.shape != noise.shape:
-        raise ValueError(
-            f"signal and noise lengths differ: {signal.shape} vs {noise.shape}"
-        )
-    return TimeSeries(snr * signal + noise)
-
-
 def composite_block(
     spec: NoiseSpec, snr: float, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

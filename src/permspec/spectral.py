@@ -65,8 +65,8 @@ class SpectrumAnalysis:
     def nyquist_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """(frequencies, scaled intensities) restricted to (0, 1/2].
 
-        For real input the spectrum above 1/2 mirrors this range by
-        conjugation, so these bins carry all the information.
+        The spectrum above 1/2 mirrors this range by conjugation, so these
+        bins carry all the information.
         """
         k = np.arange(1, self.n // 2 + 1)
         return k / self.n, self.scaled_intensity[k]
@@ -76,17 +76,16 @@ def analyze_spectrum(series) -> SpectrumAnalysis:
     """Full spectrum of one series: DFT, intensities, and MSI.
 
     The scaled intensities and the MSI are the permutation null's kernel
-    arithmetic; for a real series the bins above 1/2 are the exact
-    conjugates of those below.  Raises DegenerateSeriesError for a
-    constant series, where the scaled intensity is 0/0.
+    arithmetic; the bins above 1/2 are the exact conjugates of those
+    below.  Raises DegenerateSeriesError for a constant series, where the
+    scaled intensity is 0/0.
     """
     ts = as_time_series(series)
     n = ts.n
     unit, unit_variance, exponent = ts.spread()
     raw = kernels.transform(unit)
     raw[0] = 0.0  # exact: centering kills the zero frequency analytically
-    if not ts.is_complex:
-        raw = np.concatenate([raw, raw[(n + 1) // 2 - 1 : 0 : -1].conj()])
+    raw = np.concatenate([raw, raw[(n + 1) // 2 - 1 : 0 : -1].conj()])
     scaled = np.abs(raw) * kernels.msi_scale(n, unit_variance)
     with np.errstate(over="ignore"):  # beyond the float range reads inf
         dft = times_power_of_two(raw / math.sqrt(n), exponent)
@@ -118,8 +117,6 @@ def fisher_g(series) -> float:
     even n one whose variation is all in the Nyquist bin.
     """
     ts = as_time_series(series)
-    if ts.is_complex:
-        raise ValueError("Fisher's g is defined for real series only")
     ordinates = analyze_spectrum(ts).scaled_intensity[1 : (ts.n - 1) // 2 + 1] ** 2
     total = ordinates.sum()
     if total == 0.0:
@@ -127,20 +124,6 @@ def fisher_g(series) -> float:
             "no variation below the Nyquist frequency: Fisher's g is 0/0"
         )
     return float(ordinates.max() / total)
-
-
-def standardized_intensity(analysis: SpectrumAnalysis, sigma: float) -> np.ndarray:
-    """Intensity divided by a known population sigma instead of the sample s."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return analysis.intensity / sigma
-
-
-def _real_spread(series) -> tuple[np.ndarray, float, int]:
-    ts = as_time_series(series)
-    if ts.is_complex:
-        raise ValueError("autocovariances are defined for real series only")
-    return ts.spread()
 
 
 def autocovariance(series, lag: int) -> float:
@@ -171,7 +154,7 @@ def autocorrelation_profile(series) -> AutocorrelationProfile:
     """Lag products of the unit deviations (:meth:`TimeSeries.spread`): the
     autocorrelations are scale-free and hold at any finite magnitude.
     Raises DegenerateSeriesError for a constant series."""
-    unit, _, exponent = _real_spread(series)
+    unit, _, exponent = as_time_series(series).spread()
     n = unit.size
     gamma = np.array([np.dot(unit[: n - lag], unit[lag:]) / (n - lag - 1) for lag in range(n - 1)])
     with np.errstate(over="ignore"):  # beyond the float range reads inf
@@ -214,7 +197,7 @@ def spectral_identity(series, delta: float) -> float:
     only holds asymptotically.
     """
     ts = as_time_series(series)
-    unit, variance, _ = _real_spread(ts)
+    unit, variance, _ = ts.spread()
     n = ts.n
     rho = autocorrelation_profile(ts).autocorrelations
 

@@ -52,6 +52,10 @@ class TestStudyConfigValidation:
             (dict(confidence=1.5), "confidence"),
             (dict(master_seed=-5), "master_seed"),
             (dict(master_seed=2**64), "master_seed"),
+            (dict(replicates=0), "replicates must be >= 1"),
+            (dict(permutations=0), "at least one permutation"),
+            (dict(alpha=0.0), "alpha"),
+            (dict(alpha=1.0), "alpha"),
         ],
     )
     def test_rejected_at_construction(self, overrides, message):
@@ -195,17 +199,23 @@ class TestBlockReplicates:
             assert int(seeds[r]) == seed_chain(cell_seed, r, 1)
 
     @pytest.mark.parametrize(
-        "distribution,n,snr,message",
-        [("cauchy", 30, 0.4, "distribution"), ("normal", 30, -0.5, "lambda"), ("normal", 2, 0.4, "at least 3")],
-        ids=["distribution", "negative-lambda", "n-2"],
+        "distribution,n,snr,alpha,message",
+        [
+            ("cauchy", 30, 0.4, 0.05, "distribution"),
+            ("normal", 30, -0.5, 0.05, "lambda"),
+            ("normal", 2, 0.4, 0.05, "at least 3"),
+            ("normal", 30, 0.4, 1.5, "alpha"),
+            ("normal", 30, 0.4, -0.1, "alpha"),
+        ],
+        ids=["distribution", "negative-lambda", "n-2", "alpha-1.5", "alpha-negative"],
     )
-    def test_bad_input_raises_before_any_draw(self, monkeypatch, distribution, n, snr, message):
+    def test_bad_input_raises_before_any_draw(self, monkeypatch, distribution, n, snr, alpha, message):
         def no_draws(*args, **kwargs):
             raise AssertionError("a Philox generator was built")
 
         monkeypatch.setattr(np.random, "Philox", no_draws)
         with pytest.raises(ValueError, match=message):
-            run_cell(distribution, n, snr, replicates=10, permutations=20, alpha=0.05, cell_seed=1)
+            run_cell(distribution, n, snr, replicates=10, permutations=20, alpha=alpha, cell_seed=1)
 
     def test_no_object_per_replicate(self, monkeypatch):
         """One Philox generator per block, and no TimeSeries at all."""

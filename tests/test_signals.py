@@ -4,7 +4,6 @@ import pytest
 from permspec import (
     NoiseSpec,
     analyze_spectrum,
-    compose,
     gen_noise,
     gen_sinusoid,
     normalize_magnitude,
@@ -108,25 +107,6 @@ class TestNormalizeMagnitude:
             lhs = np.abs(scale * signal).sum()
             rhs = np.abs(noise).sum()
             assert abs(lhs - rhs) <= 1e-12 * max(rhs, 1.0)
-
-
-class TestCompose:
-    def test_zero_snr_returns_noise_exactly(self):
-        noise = np.array([0.3, -0.7, 1.1, 0.2])
-        series = compose(0.0, np.array([1.0, 0.0, -1.0, 0.0]), noise)
-        np.testing.assert_array_equal(series.values, noise)
-
-    def test_linearity_in_snr(self):
-        rng = np.random.default_rng(5)
-        noise = rng.standard_normal(12)
-        signal = gen_sinusoid(12, 0.2)
-        one = compose(1.0, signal, noise).values
-        two = compose(2.0, signal, noise).values
-        np.testing.assert_allclose(two - noise, 2.0 * (one - noise), rtol=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            compose(1.0, np.ones(4), np.ones(5))
 
 
 class TestRandomComposite:
