@@ -98,8 +98,11 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     scale = kernels.msi_scale(ts.n, variance)
     seeds = plan.simulation_seeds()
     rows_per_block = max(1, ROW_BLOCK_BYTES // unit.nbytes)
+    buffers = rng.ShuffleBuffers()  # every block is shuffled in the first one's arrays
     values = np.concatenate([
-        kernels.null_msi(rng.permutation_rows(unit, seeds[first:first + rows_per_block]), scale)
+        kernels.null_msi(
+            rng.permutation_rows(unit, seeds[first:first + rows_per_block], buffers), scale
+        )
         for first in range(0, seeds.size, rows_per_block)
     ])
     return NullDistribution(msi_values=values, plan=plan)
@@ -156,7 +159,9 @@ def decision_group(unit_bytes: int, permutations: int) -> int:
     return max(1, round_bytes // (block * unit_bytes))
 
 
-def count_rejections(units, scales, master_seeds, permutations: int, alpha: float) -> int:
+def count_rejections(
+    units, scales, master_seeds, permutations: int, alpha: float, buffers: rng.ShuffleBuffers
+) -> int:
     """How many of a group of tests of one length reject at level
     ``alpha``: those whose :func:`run_test` with ``PermutationPlan(seed,
     permutations)`` gives p_value <= alpha.  Test i is given by its unit
@@ -169,7 +174,8 @@ def count_rejections(units, scales, master_seeds, permutations: int, alpha: floa
     stay within it even if every remaining simulation exceeds.  Simulation
     m of a test is a pure function of (master_seed, m), so the simulations
     it skips could not have changed it.  Each round shuffles and scores the
-    next block of simulations of every undecided test at once.
+    next block of simulations of every undecided test at once, in
+    ``buffers``, which a caller with many groups holds for all their rounds.
     """
     check_permutations(permutations)
     most = _most_rejecting(alpha, permutations)
@@ -180,10 +186,8 @@ def count_rejections(units, scales, master_seeds, permutations: int, alpha: floa
     while exceedances.size:
         size = min(DECISION_BLOCK, permutations - done)
         row_seeds = rng.substream_seeds(master_seeds, size, done).reshape(-1)
-        # one expression, so no round's rows outlive it into the next
-        null = kernels.null_msi(
-            rng.permutation_rows(np.repeat(units, size, axis=0), row_seeds), np.repeat(scales, size)
-        ).reshape(-1, size)
+        rows = rng.permutation_rows(np.repeat(units, size, axis=0), row_seeds, buffers)
+        null = kernels.null_msi(rows, np.repeat(scales, size)).reshape(-1, size)
         exceedances += np.count_nonzero(null >= thresholds[:, None], axis=1)
         done += size
         rejected = exceedances + (permutations - done) <= most

@@ -26,7 +26,7 @@ from .permutation import (
     wilson_interval,
 )
 from .report import from_record, to_record
-from .rng import check_seed, seed_chain
+from .rng import ShuffleBuffers, check_seed, seed_chain
 from .series import spread_rows
 from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
 
@@ -40,8 +40,8 @@ DESK_SCALE = dict(
     permutations=200,
 )
 
-# Full reference grid; about 25 min on one core of a shared Xeon VM (a
-# K=500 run of every cell took 74 s).
+# Full reference grid; about 18 min on one core of a shared Xeon VM (a
+# K=500 run of every cell took 54 s).
 FULL_SCALE = dict(
     n_values=(30, 60, 120, 240),
     snr_values=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
@@ -159,12 +159,15 @@ def run_cell(
     check_alpha(alpha)
     rejections = 0
     block = decision_group(8 * n, permutations)  # float64 unit rows
+    buffers = ShuffleBuffers()  # the first round's arrays serve every later round
     for first in range(0, replicates, block):
         index = np.arange(first, min(first + block, replicates), dtype=np.uint64)
         noise_seeds, test_seeds = seed_chain(cell_seed, index, _ROLES)
         values, _, _ = composite_block(spec, snr, noise_seeds)
         units, variances, _ = spread_rows(values)
-        rejections += count_rejections(units, msi_scale(n, variances), test_seeds, permutations, alpha)
+        rejections += count_rejections(
+            units, msi_scale(n, variances), test_seeds, permutations, alpha, buffers
+        )
     low, high = wilson_interval(rejections, replicates, confidence)
     return PowerCell(
         distribution=distribution,

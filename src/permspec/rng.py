@@ -17,6 +17,8 @@ drawing from a shared stateful generator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -113,7 +115,34 @@ def substream_seeds(base_seed, count: int, first: int = 0) -> np.ndarray:
     return mix64_array(np.add.outer(np.asarray(base_seed & _MASK64, dtype=_U64), offsets))
 
 
-def permutation_rows(values: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
+class ShuffleBuffers:
+    """The large work arrays of :func:`permutation_rows`, held across calls.
+
+    A caller that shuffles block after block of rows passes one of these
+    to every call: each array is then allocated at the largest size asked
+    for and reused, where fresh ones would be handed back to the OS when
+    freed and page-fault again on the next call.  Every call takes a
+    prefix of each array, so the rows one call returns are a view that
+    stays valid until the next call with the same buffers.
+    """
+
+    def __init__(self):
+        self._held = {}  # (name, dtype) -> 1-d array, grown as needed
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """Uninitialised array ``name`` of ``shape`` and ``dtype``: a
+        C-ordered view of the first elements of the held one, which is
+        replaced by a larger one when it is too small."""
+        key, size = (name, np.dtype(dtype)), math.prod(shape)
+        held = self._held.get(key)
+        if held is None or held.size < size:
+            held = self._held[key] = np.empty(size, dtype)
+        return held[:size].reshape(shape)
+
+
+def permutation_rows(
+    values: np.ndarray, row_seeds: np.ndarray, buffers: ShuffleBuffers | None = None
+) -> np.ndarray:
     """One uniformly shuffled copy of ``values`` per row seed.
 
     ``values`` is one ``(n,)`` vector that every row starts from, or an
@@ -129,7 +158,10 @@ def permutation_rows(values: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
 
     Returns an ``(len(row_seeds), n)`` array of ``values``' dtype: the
     transposed view of the shuffled ``(n, len(row_seeds))`` working matrix,
-    so row m is column m of one C-ordered array.
+    so row m is column m of one C-ordered array.  The matrix and the draw
+    blocks are taken from ``buffers``, so the result is a view into them
+    that the next call with the same buffers overwrites; without
+    ``buffers`` they are fresh, and so is the result.
     """
     values = np.asarray(values)
     seeds = np.asarray(row_seeds, dtype=_U64)
@@ -138,13 +170,15 @@ def permutation_rows(values: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
     n, rows = values.shape[-1], seeds.size
     if values.ndim == 2 and len(values) != rows:
         raise ValueError(f"{len(values)} rows of starting values for {rows} row seeds")
+    if buffers is None:
+        buffers = ShuffleBuffers()
     # column m is row m of the result, so step i swaps the contiguous row
     # work[i] with the elements at flat indices j*rows + m
-    work = np.empty((n, rows), dtype=values.dtype)
+    work = buffers.take("work", (n, rows), values.dtype)
     work[...] = np.atleast_2d(values).T
     flat = work.reshape(-1)
     held = np.empty(rows, dtype=values.dtype)
-    for top, targets in _swap_targets(seeds, n):
+    for top, targets in _swap_targets(seeds, n, buffers):
         for i, target in zip(range(top, 0, -1), targets):
             # the method skips np.take's dispatch, and "clip" its buffered
             # bounds check: every index is in range by construction
@@ -154,7 +188,7 @@ def permutation_rows(values: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
     return work.T
 
 
-def _swap_targets(seeds: np.ndarray, n: int):
+def _swap_targets(seeds: np.ndarray, n: int, buffers: ShuffleBuffers):
     """``(i, targets)`` per block of Fisher-Yates steps i, i-1, ...: at step
     ``i - s``, column m swaps its element ``i - s`` with the one at flat
     index ``targets[s, m] = j*rows + m``.  ``targets`` is overwritten by the
@@ -162,9 +196,10 @@ def _swap_targets(seeds: np.ndarray, n: int):
     rows = seeds.size
     lanes = np.arange(rows, dtype=_U64)
     steps_per_block = max(1, min(n - 1, DRAW_BLOCK_BYTES // (8 * max(rows, 1))))
-    # two buffers for all blocks: fresh large arrays would page-fault per block
-    block = np.empty((steps_per_block, rows), dtype=_U64)
-    scratch = np.empty_like(block)
+    # the draws of every block, and of every call with the same buffers,
+    # are computed in the same two arrays
+    block = buffers.take("draws", (steps_per_block, rows), _U64)
+    scratch = buffers.take("draw scratch", (steps_per_block, rows), _U64)
     for first in range(1, n, steps_per_block):
         draw = np.arange(first, min(first + steps_per_block, n), dtype=_U64)[:, None]
         targets = block[: draw.size]
@@ -174,4 +209,3 @@ def _swap_targets(seeds: np.ndarray, n: int):
         targets *= _U64(rows)
         targets += lanes
         yield n - first, targets.view(np.intp)
-

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -167,6 +168,16 @@ class TestPowerStudyCommand:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_full_scale_results_file_pinned(self, tmp_path):
+        """K=20 of the full grid: M=1000 and n up to 240, so a cell's rounds
+        shuffle MBs of rows; every rejection count, and so the file, is a
+        pure function of the seed."""
+        out = tmp_path / "full.jsonl"
+        assert main(["power-study", "--full-scale", "--replicates", "20", "--seed", "5",
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "c835e0a8d33a8a0cae6ae205aec208ccfa44a52bcf72672f00cd6ea3ad7b00e7"
 
 
 class TestSimulateCommand:

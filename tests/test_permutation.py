@@ -75,7 +75,8 @@ class TestSimulateNull:
     @pytest.mark.parametrize("kind", ["real", "counts"])
     def test_row_blocks_change_no_bit(self, kind, monkeypatch):
         """A row budget of 10 rows splits 103 permutations into ten blocks
-        and a last one of 3; the null is bit-identical to one block."""
+        and a last one of 3, all shuffled in one set of buffers; the null is
+        bit-identical to one block."""
         generator = np.random.default_rng(8)
         if kind == "real":
             values = np.round(generator.standard_normal(50), 2)
@@ -85,10 +86,16 @@ class TestSimulateNull:
         whole = simulate_null(values, plan).msi_values
         blocks = []
         shuffle = rng.permutation_rows
-        monkeypatch.setattr(rng, "permutation_rows", lambda v, s: blocks.append(len(s)) or shuffle(v, s))
+
+        def recorded(values, seeds, buffers):
+            blocks.append((len(seeds), buffers))
+            return shuffle(values, seeds, buffers)
+
+        monkeypatch.setattr(rng, "permutation_rows", recorded)
         monkeypatch.setattr(permutation, "ROW_BLOCK_BYTES", 10 * values.nbytes)
         blocked = simulate_null(values, plan).msi_values
-        assert blocks == [10] * 10 + [3]
+        assert [rows for rows, _ in blocks] == [10] * 10 + [3]
+        assert len({id(buffers) for _, buffers in blocks}) == 1  # one set of arrays for all blocks
         assert blocked.tobytes() == whole.tobytes()
 
     def test_peak_memory_is_bounded_by_the_row_budget(self, monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import math
+import platform
+import sys
 import tracemalloc
 
 import numpy as np
@@ -261,6 +263,25 @@ class TestMemory:
     def test_flat_in_permutations(self):
         # n=16: 2048 rows fill the round budget, more than M=2000 rows
         assert self.peak(16, 100, 2000) <= 1.1 * self.peak(16, 100, 200)
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+        reason="counts the minor page faults of glibc's allocator on Linux",
+    )
+    def test_rounds_reuse_the_cells_buffers(self):
+        """Every round of a cell shuffles in the arrays of its first.  Rounds
+        of MBs of rows (M=1000, n=120) shuffled in fresh arrays, which the
+        allocator hands back to the OS between rounds, take tens of
+        thousands of minor page faults a call; held ones, under a thousand."""
+        import resource
+
+        def faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        run_cell("t2", 120, 0.6, 100, 1000, 0.05, cell_seed=6)  # first-call allocations
+        before = faults()
+        run_cell("t2", 120, 0.6, 100, 1000, 0.05, cell_seed=6)
+        assert faults() - before < 10_000, faults() - before
 
 
 class TestRunGrid:

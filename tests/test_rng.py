@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import fisher_yates, seed_chain, splitmix64
 from permspec import rng
@@ -185,3 +186,45 @@ def test_permutation_rows_follow_the_oracle_across_default_draw_blocks():
     rows = rng.permutation_rows(values, seeds)
     for row, seed in zip(rows, seeds.tolist()):
         np.testing.assert_array_equal(row, values[fisher_yates(240, seed)])
+
+
+# (n, rows, kind) of one call: a shared start vector of floats or of
+# indices, or float starting values of each row's own
+shuffle_calls = st.lists(
+    st.tuples(st.integers(1, 40), st.integers(1, 30), st.sampled_from(["float", "index", "float rows"])),
+    min_size=2,
+    max_size=6,
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(shuffle_calls, st.sampled_from([rng.DRAW_BLOCK_BYTES, 64, 1]), st.integers(0, 2**64 - 1))
+def test_held_buffers_carry_nothing_between_calls(calls, draw_block_bytes, seed):
+    """One ShuffleBuffers through calls whose n and row count grow and
+    shrink, its arrays poisoned first (NaN floats, -1 indices, all-ones
+    draws): every call shuffles in the held arrays, and its rows equal a
+    fresh call's bit for bit and follow the Fisher-Yates oracle."""
+    buffers = rng.ShuffleBuffers()
+    largest = max(n * rows for n, rows, _ in calls)
+    held = {dtype: buffers.take("work", (largest,), dtype) for dtype in (np.float64, np.intp)}
+    held[np.float64].fill(np.nan)
+    held[np.intp].fill(-1)
+    for name in ("draws", "draw scratch"):
+        buffers.take(name, (largest,), np.uint64).fill(2**64 - 1)
+    generator = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "DRAW_BLOCK_BYTES", draw_block_bytes)
+        for call, (n, rows, kind) in enumerate(calls):
+            seeds = rng.substream_seeds(seed, rows, first=call)
+            values = {
+                "float": generator.standard_normal(n),
+                "index": np.arange(n, dtype=np.intp),
+                "float rows": generator.standard_normal((rows, n)),
+            }[kind]
+            shuffled = rng.permutation_rows(values, seeds, buffers)
+            assert np.shares_memory(shuffled, held[values.dtype.type])
+            fresh = rng.permutation_rows(values, seeds)
+            assert shuffled.dtype == fresh.dtype and shuffled.tobytes() == fresh.tobytes()
+            orders = np.array([fisher_yates(n, s) for s in seeds.tolist()])
+            starts = np.broadcast_to(values, orders.shape)
+            np.testing.assert_array_equal(shuffled, np.take_along_axis(starts, orders, axis=1))
