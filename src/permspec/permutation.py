@@ -4,7 +4,9 @@ The null hypothesis is exchangeability of the observations.  Random
 permutations of the observed series simulate the null distribution of
 the maximum scaled intensity (MSI); the p-value is the fraction of
 simulated MSI values at or above the observed one.  Many tests that only
-need their decision at one level share :func:`count_rejections`.
+need their decision at one level share :func:`count_rejections`.  Both
+it and :func:`simulate_null` draw the null through one function,
+``_null_round``, the only place simulations are shuffled and scored.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ DECISION_ROUND_BYTES = 256 << 10
 
 
 def check_permutations(permutations: int) -> None:
-    """Reject a number of null simulations below one."""
+    """Reject a number of null simulations that is not an integer >= 1."""
+    rng.check_integer("permutations", permutations)
     if permutations < 1:
         raise ValueError(f"need at least one permutation (permutations >= 1), got {permutations}")
 
@@ -55,9 +58,6 @@ class PermutationPlan:
     def __post_init__(self):
         check_permutations(self.n_permutations)
         rng.check_seed(self.master_seed)
-
-    def simulation_seeds(self) -> np.ndarray:
-        return rng.substream_seeds(self.master_seed, self.n_permutations)
 
 
 @dataclass(frozen=True)
@@ -89,23 +89,34 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     Deterministic given (series, plan); permutations never change the
     sample mean or variance, so the centered values and the scale factor
     are computed once and shared across all simulations.  The centred
-    values themselves are shuffled, in blocks of at most
+    values themselves are shuffled and scored by ``_null_round``, the one
+    test case of :func:`count_rejections`' rounds, in blocks of at most
     ``ROW_BLOCK_BYTES`` of rows; row m depends on its seed alone, so the
     blocking changes no bit.
     """
     ts = as_time_series(series)
     unit, variance, _ = ts.spread()
     scale = kernels.msi_scale(ts.n, variance)
-    seeds = plan.simulation_seeds()
-    rows_per_block = max(1, ROW_BLOCK_BYTES // unit.nbytes)
+    m, block = plan.n_permutations, max(1, ROW_BLOCK_BYTES // unit.nbytes)
     buffers = rng.ShuffleBuffers()  # every block is shuffled in the first one's arrays
     values = np.concatenate([
-        kernels.null_msi(
-            rng.permutation_rows(unit, seeds[first:first + rows_per_block], buffers), scale
-        )
-        for first in range(0, seeds.size, rows_per_block)
+        _null_round(unit[None], scale, plan.master_seed, first, min(block, m - first), buffers)[0]
+        for first in range(0, m, block)
     ])
     return NullDistribution(msi_values=values, plan=plan)
+
+
+def _null_round(units, scales, master_seeds, first: int, size: int, buffers: rng.ShuffleBuffers):
+    """The ``(tests, size)`` null MSIs of simulations ``first .. first + size
+    - 1`` of each test i, which permute ``units[i]`` in substreams of
+    ``master_seeds[i]`` and score it with ``scales[i]`` (scalars for one test)."""
+    tests, n = units.shape
+    row_seeds = rng.substream_seeds(master_seeds, size, first).reshape(-1)
+    # test i's rows start from units[i]: a view for one test, a copy for many
+    starts = np.broadcast_to(units[:, None], (tests, size, n)).reshape(-1, n)
+    rows = rng.permutation_rows(starts, row_seeds, buffers)
+    del starts  # freed before scoring, or glibc trims the heap and faults it in every round
+    return kernels.null_msi(rows, np.repeat(scales, size)).reshape(tests, size)
 
 
 def empirical_cdf(null: NullDistribution, s: float) -> float:
@@ -173,9 +184,11 @@ def count_rejections(
     settled: once its exceedances pass the largest count that rejects, or
     stay within it even if every remaining simulation exceeds.  Simulation
     m of a test is a pure function of (master_seed, m), so the simulations
-    it skips could not have changed it.  Each round shuffles and scores the
-    next block of simulations of every undecided test at once, in
-    ``buffers``, which a caller with many groups holds for all their rounds.
+    it skips could not have changed it.  Each round, one ``_null_round``
+    call, shuffles and scores the next block of simulations of every
+    undecided test at once, in ``buffers``, which a caller with many groups
+    holds for all their rounds.  Hence the simulations a test draws are the
+    first ones of its :func:`simulate_null`, bit for bit.
     """
     check_permutations(permutations)
     most = _most_rejecting(alpha, permutations)
@@ -185,9 +198,7 @@ def count_rejections(
     rejections = done = 0
     while exceedances.size:
         size = min(DECISION_BLOCK, permutations - done)
-        row_seeds = rng.substream_seeds(master_seeds, size, done).reshape(-1)
-        rows = rng.permutation_rows(np.repeat(units, size, axis=0), row_seeds, buffers)
-        null = kernels.null_msi(rows, np.repeat(scales, size)).reshape(-1, size)
+        null = _null_round(units, scales, master_seeds, done, size, buffers)
         exceedances += np.count_nonzero(null >= thresholds[:, None], axis=1)
         done += size
         rejected = exceedances + (permutations - done) <= most

@@ -26,7 +26,7 @@ from .permutation import (
     wilson_interval,
 )
 from .report import from_record, to_record
-from .rng import ShuffleBuffers, check_seed, seed_chain
+from .rng import ShuffleBuffers, check_integer, check_seed, seed_chain
 from .series import spread_rows
 from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
 
@@ -51,6 +51,13 @@ FULL_SCALE = dict(
 
 # seed_chain's last component: a replicate's noise seed, then its test seed
 _ROLES = np.array([[0], [1]])
+
+
+def check_replicates(replicates: int) -> None:
+    """Reject a number of replicates per cell that is not an integer >= 1."""
+    check_integer("replicates", replicates)
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +88,7 @@ class StudyConfig:
                 raise ValueError(f"duplicate {label} values in {values}")
         for snr in self.snr_values:
             check_snr(snr)
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        check_replicates(self.replicates)
         check_permutations(self.permutations)
         check_alpha(self.alpha)
         check_confidence(self.confidence)
@@ -155,8 +161,11 @@ def run_cell(
     """
     spec = NoiseSpec(distribution, n)
     check_snr(snr)
+    check_replicates(replicates)
     check_permutations(permutations)
     check_alpha(alpha)
+    check_confidence(confidence)
+    check_seed(cell_seed)
     rejections = 0
     block = decision_group(8 * n, permutations)  # float64 unit rows
     buffers = ShuffleBuffers()  # the first round's arrays serve every later round

@@ -35,8 +35,16 @@ _MIX_B = _U64(0x94D049BB133111EB)
 DRAW_BLOCK_BYTES = 1 << 20
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a seed or count ``name`` that is not a Python or numpy integer
+    (``3.0`` too: it would be written to a report as a float)."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def check_seed(seed: int) -> None:
-    """Reject a master seed outside the 64-bit unsigned range."""
+    """Reject a master seed that is not an integer in the 64-bit unsigned range."""
+    check_integer("master_seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"master_seed must fit in 64 unsigned bits, got {seed}")
 
@@ -112,7 +120,9 @@ def substream_seeds(base_seed, count: int, first: int = 0) -> np.ndarray:
     uint64 array of base seeds the result has one row of seeds per base.
     """
     offsets = np.arange(first + 1, first + count + 1, dtype=_U64) * _GOLDEN_U64
-    return mix64_array(np.add.outer(np.asarray(base_seed & _MASK64, dtype=_U64), offsets))
+    # int() first: a signed numpy scalar & _MASK64 overflows
+    base = int(base_seed) & _MASK64 if np.ndim(base_seed) == 0 else base_seed
+    return mix64_array(np.add.outer(np.asarray(base, dtype=_U64), offsets))
 
 
 class ShuffleBuffers:

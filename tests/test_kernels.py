@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_msi
-from permspec import PermutationPlan, TimeSeries, analyze_spectrum, kernels, random_composite, rng
+from permspec import TimeSeries, analyze_spectrum, kernels, random_composite, rng
 
 CASES = [(3, 40), (4, 40), (15, 100), (16, 100), (47, 60), (48, 60), (128, 30)]
 
@@ -12,7 +12,7 @@ def make_case(n, m, seed=0):
     centered = values - values.mean()
     variance = float(np.dot(centered, centered)) / (n - 1)
     scale = kernels.msi_scale(n, variance)
-    seeds = PermutationPlan(master_seed=seed, n_permutations=m).simulation_seeds()
+    seeds = rng.substream_seeds(seed, m)
     perms = rng.permutation_rows(np.arange(n), seeds)
     return values, centered, perms, scale
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permspec import (
     DegenerateSeriesError,
@@ -41,9 +42,8 @@ class TestPlan:
             PermutationPlan(master_seed=-1, n_permutations=10)
 
     def test_permutation_rows_shape_and_determinism(self):
-        plan = PermutationPlan(master_seed=3, n_permutations=25)
-        first = rng.permutation_rows(np.arange(9), plan.simulation_seeds())
-        second = rng.permutation_rows(np.arange(9), plan.simulation_seeds())
+        first = rng.permutation_rows(np.arange(9), rng.substream_seeds(3, 25))
+        second = rng.permutation_rows(np.arange(9), rng.substream_seeds(3, 25))
         assert first.shape == (25, 9)
         np.testing.assert_array_equal(first, second)
 
@@ -130,6 +130,43 @@ class TestSimulateNull:
         plan = PermutationPlan(master_seed=11, n_permutations=300)
         for value in simulate_null(shuffled, plan).msi_values:
             assert np.abs(support_a - value).min() < 1e-8
+
+
+@st.composite
+def split_null_rounds(draw):
+    """A group of 1-5 tests of one length n with tied values (rounded to
+    0 or 1 decimals), their master seeds, M, and a split of [0, M) into
+    rounds, as the bounds 0 < ... < M."""
+    tests, n, m = draw(st.integers(1, 5)), draw(st.integers(3, 40)), draw(st.integers(1, 60))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((tests, n))
+    values = np.round(2 * values, draw(st.integers(0, 1)))
+    values[:, 0] = np.abs(values).max() + 1  # never constant
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=tests, max_size=tests))
+    cuts = draw(st.sets(st.integers(1, m - 1), max_size=8)) if m > 1 else set()
+    return values, seeds, m, [0, *sorted(cuts), m]
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(split_null_rounds())
+def test_any_split_into_rounds_gives_simulate_nulls_values(case):
+    """count_rejections' rounds and simulate_null's blocks share one
+    function: however simulations 0..M-1 of a group of tests are split
+    into rounds, all in one set of buffers, each test's concatenated round
+    MSIs are its simulate_null values bit for bit."""
+    values, seeds, m, bounds = case
+    spreads = [TimeSeries(row).spread() for row in values]
+    units = np.array([unit for unit, _, _ in spreads])
+    scales = np.array([kernels.msi_scale(values.shape[1], variance) for _, variance, _ in spreads])
+    buffers = rng.ShuffleBuffers()
+    rounds = [
+        permutation._null_round(units, scales, np.array(seeds, dtype=np.uint64), first, stop - first, buffers)
+        for first, stop in zip(bounds, bounds[1:])
+    ]
+    null = np.concatenate(rounds, axis=1)
+    assert null.shape == (len(values), m)
+    for row, series, seed in zip(null, values, seeds):
+        expected = simulate_null(series, PermutationPlan(master_seed=seed, n_permutations=m)).msi_values
+        assert row.tobytes() == expected.tobytes()
 
 
 class TestEmpiricalCdf:

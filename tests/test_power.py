@@ -201,23 +201,31 @@ class TestBlockReplicates:
             assert int(seeds[r]) == seed_chain(cell_seed, r, 1)
 
     @pytest.mark.parametrize(
-        "distribution,n,snr,alpha,message",
+        "bad,message",
         [
-            ("cauchy", 30, 0.4, 0.05, "distribution"),
-            ("normal", 30, -0.5, 0.05, "lambda"),
-            ("normal", 2, 0.4, 0.05, "at least 3"),
-            ("normal", 30, 0.4, 1.5, "alpha"),
-            ("normal", 30, 0.4, -0.1, "alpha"),
+            (dict(distribution="cauchy"), "distribution"),
+            (dict(snr=-0.5), "lambda"),
+            (dict(n=2), "at least 3"),
+            (dict(alpha=1.5), "alpha"),
+            (dict(alpha=-0.1), "alpha"),
+            (dict(confidence=1.5), "confidence"),
+            (dict(cell_seed=-1), "master_seed"),
+            (dict(cell_seed=2**64), "master_seed"),
+            (dict(replicates=0), "replicates"),
         ],
-        ids=["distribution", "negative-lambda", "n-2", "alpha-1.5", "alpha-negative"],
+        ids=[
+            "distribution", "negative-lambda", "n-2", "alpha-1.5", "alpha-negative",
+            "confidence-1.5", "seed-negative", "seed-2**64", "replicates-0",
+        ],
     )
-    def test_bad_input_raises_before_any_draw(self, monkeypatch, distribution, n, snr, alpha, message):
+    def test_bad_input_raises_before_any_draw(self, monkeypatch, bad, message):
         def no_draws(*args, **kwargs):
             raise AssertionError("a Philox generator was built")
 
         monkeypatch.setattr(np.random, "Philox", no_draws)
+        good = dict(distribution="normal", n=30, snr=0.4, replicates=10, permutations=20, alpha=0.05, cell_seed=1)
         with pytest.raises(ValueError, match=message):
-            run_cell(distribution, n, snr, replicates=10, permutations=20, alpha=alpha, cell_seed=1)
+            run_cell(**{**good, **bad})
 
     def test_no_object_per_replicate(self, monkeypatch):
         """One Philox generator per block, and no TimeSeries at all."""
@@ -272,7 +280,8 @@ class TestMemory:
         """Every round of a cell shuffles in the arrays of its first.  Rounds
         of MBs of rows (M=1000, n=120) shuffled in fresh arrays, which the
         allocator hands back to the OS between rounds, take tens of
-        thousands of minor page faults a call; held ones, under a thousand."""
+        thousands of minor page faults a call; held ones, under a thousand.
+        Starting rows still held while a round is scored take about 4,500."""
         import resource
 
         def faults():
@@ -281,7 +290,7 @@ class TestMemory:
         run_cell("t2", 120, 0.6, 100, 1000, 0.05, cell_seed=6)  # first-call allocations
         before = faults()
         run_cell("t2", 120, 0.6, 100, 1000, 0.05, cell_seed=6)
-        assert faults() - before < 10_000, faults() - before
+        assert faults() - before < 2_000, faults() - before
 
 
 class TestRunGrid:
