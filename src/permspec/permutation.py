@@ -12,7 +12,6 @@ it and :func:`simulate_null` draw the null through one function,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -24,16 +23,14 @@ from .spectral import SpectrumAnalysis, analyze_spectrum
 # Relative tie tolerance of the exceedance count, as in scipy.stats.permutation_test.
 TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
 
-# Bytes of permuted rows simulate_null holds at once: memory stays flat in
-# the number of permutations, and M=1000 rows of n=5000 take one block.
+# The row budget of a null round, read by ``_round_rows`` alone: memory stays
+# flat in the number of permutations, and M=1000 rows of n=5000 take one block.
 ROW_BLOCK_BYTES = 64 << 20
+DECISION_ROUND_BYTES = 256 << 10
 
 # Each round of count_rejections shuffles the next DECISION_BLOCK
-# simulations of every undecided test of a group in one engine call.  A
-# group's first round fills DECISION_ROUND_BYTES of rows, or M rows where
-# that is more (as one test's simulate_null would), up to ROW_BLOCK_BYTES.
+# simulations of every undecided test of a group in one engine call.
 DECISION_BLOCK = 25
-DECISION_ROUND_BYTES = 256 << 10
 
 
 def check_permutations(permutations: int) -> None:
@@ -90,14 +87,15 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     sample mean or variance, so the centered values and the scale factor
     are computed once and shared across all simulations.  The centred
     values themselves are shuffled and scored by ``_null_round``, the one
-    test case of :func:`count_rejections`' rounds, in blocks of at most
-    ``ROW_BLOCK_BYTES`` of rows; row m depends on its seed alone, so the
-    blocking changes no bit.
+    test case of :func:`count_rejections`' rounds, in blocks of
+    ``_round_rows`` rows, the rule that also sizes those rounds: all M
+    rows, unless they pass ``ROW_BLOCK_BYTES``.  Row m depends on its seed
+    alone, so the blocking changes no bit.
     """
     ts = as_time_series(series)
     unit, variance, _ = ts.spread()
     scale = kernels.msi_scale(ts.n, variance)
-    m, block = plan.n_permutations, max(1, ROW_BLOCK_BYTES // unit.nbytes)
+    m, block = plan.n_permutations, _round_rows(ts.n, plan.n_permutations)
     buffers = rng.ShuffleBuffers()  # every block is shuffled in the first one's arrays
     values = np.concatenate([
         _null_round(unit[None], scale, plan.master_seed, first, min(block, m - first), buffers)[0]
@@ -145,29 +143,27 @@ def p_value(observed_msi: float, null: NullDistribution) -> float:
     return _p_value_of(exceedance_count(observed_msi, null), null.n_permutations)
 
 
-def _p_value_of(exceedances: int, permutations: int) -> float:
-    """The p-value rule, b/M, for b exceedances of M simulations."""
+def _p_value_of(exceedances, permutations: int):
+    """The p-value rule, b/M, for b exceedances of M simulations (an int,
+    or an array of counts)."""
     return exceedances / permutations
 
 
-@lru_cache(maxsize=16)  # each group of a power cell asks for the same count
-def _most_rejecting(alpha: float, permutations: int) -> int:
-    """The largest exceedance count b with p-value b/M <= ``alpha`` (-1 if
-    none).  The rule's own float expression decides each b, so no rounding
-    of ``alpha * M`` can disagree with it (floor(0.29 * 100) is 28, yet
-    29/100 <= 0.29)."""
-    counts = range(permutations + 1)
-    return max((b for b in counts if _p_value_of(b, permutations) <= alpha), default=-1)
+def _round_rows(n: int, permutations: int) -> int:
+    """The one memory rule of the null: a round holds float64 rows of length
+    ``n`` that fill ``DECISION_ROUND_BYTES``, or all M rows where that is
+    more, up to ``ROW_BLOCK_BYTES``, and at least one row."""
+    row_bytes = 8 * int(n)  # Python ints: a numpy n or M may be too narrow for bytes
+    budget = min(max(DECISION_ROUND_BYTES, int(permutations) * row_bytes), ROW_BLOCK_BYTES)
+    return max(1, budget // row_bytes)
 
 
-def decision_group(unit_bytes: int, permutations: int) -> int:
-    """How many tests with unit rows of ``unit_bytes`` one
-    :func:`count_rejections` call should hold: enough that its first round
-    fills ``DECISION_ROUND_BYTES`` of rows, or M rows where that is more
-    (as one test's simulate_null would), up to ``ROW_BLOCK_BYTES``."""
-    block = min(DECISION_BLOCK, permutations)
-    round_bytes = min(max(DECISION_ROUND_BYTES, permutations * unit_bytes), ROW_BLOCK_BYTES)
-    return max(1, round_bytes // (block * unit_bytes))
+def decision_group(n: int, permutations: int) -> int:
+    """How many tests of length ``n`` one :func:`count_rejections` call
+    should hold: enough that its first round, ``min(DECISION_BLOCK, M)``
+    simulations of each, fills the ``_round_rows`` rows that also block
+    one test's :func:`simulate_null`."""
+    return max(1, _round_rows(n, permutations) // min(DECISION_BLOCK, int(permutations)))
 
 
 def count_rejections(
@@ -180,18 +176,18 @@ def count_rejections(
     :func:`kernels.msi_scale` ``scales[i]`` and its uint64
     ``master_seeds[i]``; :func:`decision_group` sizes a group.
 
-    The count is exact, but a test stops as soon as its decision is
-    settled: once its exceedances pass the largest count that rejects, or
-    stay within it even if every remaining simulation exceeds.  Simulation
-    m of a test is a pure function of (master_seed, m), so the simulations
-    it skips could not have changed it.  Each round, one ``_null_round``
-    call, shuffles and scores the next block of simulations of every
-    undecided test at once, in ``buffers``, which a caller with many groups
-    holds for all their rounds.  Hence the simulations a test draws are the
-    first ones of its :func:`simulate_null`, bit for bit.
+    The count is exact, but a test stops once the p-value rule settles its
+    decision: b/M grows with b, so after b exceedances of ``done``
+    simulations it rejects if ``_p_value_of(b + M - done, M) <= alpha``,
+    and cannot if ``_p_value_of(b, M) > alpha``.  Simulation m of a test is
+    a pure function of (master_seed, m), so the simulations it skips could
+    not have changed it.  Each round, one ``_null_round`` call, shuffles
+    and scores the next block of simulations of every undecided test at
+    once, in ``buffers``, which a caller with many groups holds for all
+    their rounds.  Hence the simulations a test draws are the first ones of
+    its :func:`simulate_null`, bit for bit.
     """
     check_permutations(permutations)
-    most = _most_rejecting(alpha, permutations)
     # the unshuffled rows are the identity permutation: the observed MSIs
     thresholds = _tie_threshold(kernels.null_msi(units, scales))
     exceedances = np.zeros(len(units), dtype=np.intp)
@@ -201,8 +197,8 @@ def count_rejections(
         null = _null_round(units, scales, master_seeds, done, size, buffers)
         exceedances += np.count_nonzero(null >= thresholds[:, None], axis=1)
         done += size
-        rejected = exceedances + (permutations - done) <= most
-        undecided = ~rejected & (exceedances <= most)
+        rejected = _p_value_of(exceedances + (permutations - done), permutations) <= alpha
+        undecided = ~rejected & (_p_value_of(exceedances, permutations) <= alpha)
         rejections += int(np.count_nonzero(rejected))
         units, scales, master_seeds, thresholds, exceedances = (
             values[undecided] for values in (units, scales, master_seeds, thresholds, exceedances)

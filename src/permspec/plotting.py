@@ -54,17 +54,14 @@ def gaussian_kde(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.n
 
 
 def build_plot_model(
-    result: TestResult,
-    null: NullDistribution,
-    analysis: SpectrumAnalysis,
-    grid_points: int = 200,
+    result: TestResult, null: NullDistribution, analysis: SpectrumAnalysis
 ) -> PlotModel:
     frequencies, bars = analysis.nyquist_spectrum()
     values = null.msi_values
     bandwidth = silverman_bandwidth(values)
     low = max(0.0, float(values.min()) - 3.0 * bandwidth)  # MSI is non-negative
     high = float(values.max()) + 3.0 * bandwidth
-    grid = np.linspace(low, high, grid_points)
+    grid = np.linspace(low, high, 200)
     density = gaussian_kde(values, grid, bandwidth)
     return PlotModel(
         frequencies=frequencies,

@@ -167,7 +167,7 @@ def run_cell(
     check_confidence(confidence)
     check_seed(cell_seed)
     rejections = 0
-    block = decision_group(8 * n, permutations)  # float64 unit rows
+    block = decision_group(n, permutations)
     buffers = ShuffleBuffers()  # the first round's arrays serve every later round
     for first in range(0, replicates, block):
         index = np.arange(first, min(first + block, replicates), dtype=np.uint64)

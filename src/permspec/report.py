@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .permutation import TestResult
 
 REPORT_SCHEMA = "permspec-test-report/1"
@@ -32,7 +34,15 @@ _FIELDS = {
 
 def to_record(obj, fields: dict[str, str]) -> dict:
     """The JSON record of ``obj`` through a file key -> attribute map."""
-    return {key: getattr(obj, attribute) for key, attribute in fields.items()}
+    return {key: _plain(getattr(obj, attribute)) for key, attribute in fields.items()}
+
+
+def _plain(value):
+    """``value`` with numpy scalars, also inside a tuple, as the Python
+    numbers they equal, which json writes as it writes those numbers."""
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def from_record(cls, record: dict, fields: dict[str, str], what: str):

@@ -46,3 +46,13 @@ def test_missing_field_is_named(result):
     text = render_report(result).replace('"p_value"', '"pee_value"')
     with pytest.raises(ValueError, match="p_value"):
         parse_report(text)
+
+
+def test_numpy_integers_write_the_python_report():
+    """A seed and a count given as numpy integers, which the checks accept,
+    write the bytes the same Python ints write."""
+    series = np.random.default_rng(18).standard_normal(24)
+    result = run_test(series, PermutationPlan(np.uint64(5), np.int64(3)))
+    text = render_report(result)
+    assert text == render_report(run_test(series, PermutationPlan(5, 3)))
+    assert parse_report(text) == result
