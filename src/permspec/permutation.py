@@ -86,8 +86,8 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     Deterministic given (series, plan); permutations never change the
     sample mean or variance, so the centered values and the scale factor
     are computed once and shared across all simulations.  The centred
-    values themselves are shuffled and scored by ``_null_round``, the one
-    test case of :func:`count_rejections`' rounds, in blocks of
+    values are permuted and scored by ``_null_round``, the one test case
+    of :func:`count_rejections`' rounds, in blocks of
     ``_round_rows`` rows, the rule that also sizes those rounds: all M
     rows, unless they pass ``ROW_BLOCK_BYTES``.  Row m depends on its seed
     alone, so the blocking changes no bit.
@@ -107,14 +107,13 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
 def _null_round(units, scales, master_seeds, first: int, size: int, buffers: rng.ShuffleBuffers):
     """The ``(tests, size)`` null MSIs of simulations ``first .. first + size
     - 1`` of each test i, which permute ``units[i]`` in substreams of
-    ``master_seeds[i]`` and score it with ``scales[i]`` (scalars for one test)."""
-    tests, n = units.shape
+    ``master_seeds[i]`` and score it with ``scales[i]`` (scalars for one test).
+    Positions are shuffled, and the kernel gathers the values from them."""
+    n = units.shape[1]
     row_seeds = rng.substream_seeds(master_seeds, size, first).reshape(-1)
-    # test i's rows start from units[i]: a view for one test, a copy for many
-    starts = np.broadcast_to(units[:, None], (tests, size, n)).reshape(-1, n)
-    rows = rng.permutation_rows(starts, row_seeds, buffers)
-    del starts  # freed before scoring, or glibc trims the heap and faults it in every round
-    return kernels.null_msi(rows, np.repeat(scales, size)).reshape(tests, size)
+    # the narrowest unsigned positions: uint8 up to n=256, uint16 up to 65,536
+    positions = rng.permutation_rows(np.arange(n, dtype=np.min_scalar_type(n - 1)), row_seeds, buffers)
+    return kernels.null_msi(units, positions, scales, buffers)
 
 
 def empirical_cdf(null: NullDistribution, s: float) -> float:
@@ -188,8 +187,9 @@ def count_rejections(
     its :func:`simulate_null`, bit for bit.
     """
     check_permutations(permutations)
-    # the unshuffled rows are the identity permutation: the observed MSIs
-    thresholds = _tie_threshold(kernels.null_msi(units, scales))
+    # identity positions give the observed MSIs
+    identity = np.broadcast_to(np.arange(units.shape[1]), units.shape)
+    thresholds = _tie_threshold(kernels.null_msi(units, identity, scales, buffers)[:, 0])
     exceedances = np.zeros(len(units), dtype=np.intp)
     rejections = done = 0
     while exceedances.size:

@@ -151,6 +151,7 @@ def run_cell(
     alpha: float,
     cell_seed: int,
     confidence: float = 0.95,
+    buffers: ShuffleBuffers | None = None,
 ) -> PowerCell:
     """Estimate power for one cell; deterministic given ``cell_seed``.
 
@@ -158,6 +159,8 @@ def run_cell(
     r, 0)`` tested with master seed ``seed_chain(cell_seed, r, 1)``.  The
     replicates are made and decided a block at a time, as arrays, so memory
     does not grow with their number and no object is built per replicate.
+    Every round of the cell shuffles and scores in ``buffers``, which a
+    caller with many cells holds for all of them (fresh ones without).
     """
     spec = NoiseSpec(distribution, n)
     check_snr(snr)
@@ -168,7 +171,8 @@ def run_cell(
     check_seed(cell_seed)
     rejections = 0
     block = decision_group(n, permutations)
-    buffers = ShuffleBuffers()  # the first round's arrays serve every later round
+    if buffers is None:
+        buffers = ShuffleBuffers()  # the first round's arrays serve every later round
     for first in range(0, replicates, block):
         index = np.arange(first, min(first + block, replicates), dtype=np.uint64)
         noise_seeds, test_seeds = seed_chain(cell_seed, index, _ROLES)
@@ -197,9 +201,11 @@ def run_grid(config: StudyConfig, progress=None) -> PowerTable:
     """Run every cell of the grid.
 
     ``progress``, if given, is called with each finished PowerCell (the
-    CLI uses this to stream one line per cell).
+    CLI uses this to stream one line per cell).  The cells share one set
+    of shuffle buffers, grown to the largest any cell needs, so no cell
+    faults them in anew.
     """
-    cells = []
+    cells, buffers = [], ShuffleBuffers()
     for distribution in config.distributions:
         for n in config.n_values:
             for snr in config.snr_values:
@@ -212,6 +218,7 @@ def run_grid(config: StudyConfig, progress=None) -> PowerTable:
                     config.alpha,
                     config.cell_seed(distribution, n, snr),
                     config.confidence,
+                    buffers,
                 )
                 if progress is not None:
                     progress(cell)

@@ -32,7 +32,7 @@ _MIX_B = _U64(0x94D049BB133111EB)
 
 # Bytes of splitmix64 draws generated at once by permutation_rows: a block
 # of Fisher-Yates steps stays in cache whatever the number of rows.
-DRAW_BLOCK_BYTES = 1 << 20
+DRAW_BLOCK_BYTES = 256 << 10
 
 
 def check_integer(name: str, value) -> None:
@@ -126,14 +126,16 @@ def substream_seeds(base_seed, count: int, first: int = 0) -> np.ndarray:
 
 
 class ShuffleBuffers:
-    """The large work arrays of :func:`permutation_rows`, held across calls.
+    """The large work arrays of a null round, held across calls: the
+    working matrix and draw blocks of :func:`permutation_rows`, and the
+    gather tile of :func:`permspec.kernels.null_msi`.
 
-    A caller that shuffles block after block of rows passes one of these
-    to every call: each array is then allocated at the largest size asked
-    for and reused, where fresh ones would be handed back to the OS when
-    freed and page-fault again on the next call.  Every call takes a
-    prefix of each array, so the rows one call returns are a view that
-    stays valid until the next call with the same buffers.
+    A caller that shuffles and scores block after block of rows passes
+    one of these to every call: each array is then allocated at the
+    largest size asked for and reused, where fresh ones would be handed
+    back to the OS when freed and page-fault again on the next call.
+    Every call takes a prefix of each array, so the rows one call returns
+    are a view that stays valid until the next call with the same buffers.
     """
 
     def __init__(self):
@@ -153,18 +155,18 @@ class ShuffleBuffers:
 def permutation_rows(
     values: np.ndarray, row_seeds: np.ndarray, buffers: ShuffleBuffers | None = None
 ) -> np.ndarray:
-    """One uniformly shuffled copy of ``values`` per row seed.
+    """One uniformly shuffled copy of the ``(n,)`` vector ``values`` per row seed.
 
-    ``values`` is one ``(n,)`` vector that every row starts from, or an
-    ``(len(row_seeds), n)`` array with each row's own starting values.
     Fisher-Yates: step i = n-1 .. 1 of row ``m`` swaps elements i and
     ``draw % (i+1)``, where the draws are the splitmix64 counter stream of
     ``row_seeds[m]`` (draw ``k`` drives step ``n - k``).  All rows are
     shuffled in lockstep, one swap position per vectorised step, so a row
-    depends on its starting values and seed alone.  The modulo draw carries
-    a bias below ``n / 2**64``, many orders of magnitude under anything
-    observable.  An index permutation is
-    ``permutation_rows(np.arange(n), seeds)``.
+    depends on its seed alone.  The modulo draw carries a bias below
+    ``n / 2**64``, many orders of magnitude under anything observable.
+    The null shuffles positions, ``np.arange(n)`` in the narrowest
+    unsigned type that holds them, rather than float values: each step's
+    random reads and writes then span a quarter (n <= 65,536) or an
+    eighth (n <= 256) of the bytes.
 
     Returns an ``(len(row_seeds), n)`` array of ``values``' dtype: the
     transposed view of the shuffled ``(n, len(row_seeds))`` working matrix,
@@ -175,17 +177,15 @@ def permutation_rows(
     """
     values = np.asarray(values)
     seeds = np.asarray(row_seeds, dtype=_U64)
-    if values.ndim not in (1, 2) or values.shape[-1] < 1:
+    if values.ndim != 1 or values.size < 1:
         raise ValueError(f"permutation length must be >= 1, got shape {values.shape}")
-    n, rows = values.shape[-1], seeds.size
-    if values.ndim == 2 and len(values) != rows:
-        raise ValueError(f"{len(values)} rows of starting values for {rows} row seeds")
+    n, rows = values.size, seeds.size
     if buffers is None:
         buffers = ShuffleBuffers()
     # column m is row m of the result, so step i swaps the contiguous row
     # work[i] with the elements at flat indices j*rows + m
     work = buffers.take("work", (n, rows), values.dtype)
-    work[...] = np.atleast_2d(values).T
+    work[...] = values[:, None]
     flat = work.reshape(-1)
     held = np.empty(rows, dtype=values.dtype)
     for top, targets in _swap_targets(seeds, n, buffers):

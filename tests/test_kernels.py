@@ -22,7 +22,7 @@ def test_numpy_kernel_matches_per_row_analysis(n, m):
     """Each row of the batched kernel equals the direct-summation MSI of
     that permutation of the raw values."""
     values, centered, perms, scale = make_case(n, m, seed=n)
-    batch = kernels.null_msi(centered[perms], scale)
+    batch = kernels.null_msi(centered[None], perms, scale)[0]
     assert batch.shape == (m,)
     for row in range(0, m, max(1, m // 7)):
         expected = naive_msi(list(values[perms[row]]))
@@ -49,16 +49,16 @@ def test_observed_msi_is_the_identity_row_of_the_null(kind):
         centered, variance = TimeSeries(values).centered()
         identity = np.arange(n)[None]
         analysis = analyze_spectrum(values)
-        null = kernels.null_msi(centered[identity], kernels.msi_scale(n, variance))
+        null = kernels.null_msi(centered[None], identity, kernels.msi_scale(n, variance))[0]
         assert analysis.msi == null[0], n
         assert 0.0 < analysis.peak_frequency <= 0.5, n
 
 
 @pytest.mark.parametrize("n", [31, 64])
 def test_observed_msis_are_the_identity_rows_of_one_batch(n):
-    """One null_msi call over the stacked unit rows of 50 different series,
-    normal and t2, with one scale per row, gives each series' observed MSI
-    bit for bit (the power study scores a group of replicates this way)."""
+    """One null_msi call over the identity positions of 50 different series,
+    normal and t2, with one scale per series, gives each series' observed
+    MSI bit for bit (the power study scores a group of replicates this way)."""
     series = [
         random_composite(("normal", "t2")[seed % 2], n, 0.25 * (seed % 5), seed).series
         for seed in range(50)
@@ -66,18 +66,45 @@ def test_observed_msis_are_the_identity_rows_of_one_batch(n):
     spreads = [ts.spread() for ts in series]
     units = np.stack([unit for unit, _, _ in spreads])
     scales = np.array([kernels.msi_scale(n, variance) for _, variance, _ in spreads])
-    batch = kernels.null_msi(units, scales)
+    batch = kernels.null_msi(units, np.broadcast_to(np.arange(n), units.shape), scales)[:, 0]
     assert batch.tolist() == [analyze_spectrum(ts).msi for ts in series]
 
 
 @pytest.mark.parametrize("kind", ["real", "counts"])
 def test_tiles_change_no_bit(kind, monkeypatch):
-    """The shuffled rows, a strided view, give the same MSIs bit for bit in
-    one tile, in tiles of 3 rows (the last one partial) and of one row."""
-    centered, variance = TimeSeries(readings(kind, 50, np.random.default_rng(9))).centered()
-    scale = kernels.msi_scale(50, variance)
-    rows = rng.permutation_rows(centered, rng.substream_seeds(9, 103))
-    whole = kernels.null_msi(rows, scale)
-    for tile_bytes in (3 * rows[0].nbytes, 1):
+    """Shuffled positions, a strided view, of a group of three tests give
+    the same MSIs bit for bit in one tile, in tiles of 7 rows (which split
+    tests, the last one partial) and of one row."""
+    generator = np.random.default_rng(9)
+    spreads = [TimeSeries(readings(kind, 50, generator)).spread() for _ in range(3)]
+    units = np.stack([unit for unit, _, _ in spreads])
+    scales = np.array([kernels.msi_scale(50, variance) for _, variance, _ in spreads])
+    positions = rng.permutation_rows(np.arange(50, dtype=np.uint8), rng.substream_seeds(9, 3 * 34))
+    whole = kernels.null_msi(units, positions, scales)
+    assert whole.shape == (3, 34)
+    for tile_bytes in (7 * 50 * 8, 1):
         monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-        assert kernels.null_msi(rows, scale).tobytes() == whole.tobytes()
+        assert kernels.null_msi(units, positions, scales).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n", [4999, 5003, 7919, 10007, 10000])
+def test_gathered_null_is_the_analysis_of_the_permuted_series(n, monkeypatch):
+    """At prime lengths and lengths with large prime factors, where the FFT
+    takes other paths than at smooth ones, the MSIs gathered from shuffled
+    positions equal ``analyze_spectrum`` of each permuted series bit for
+    bit, with one row per tile and all rows in one tile.  Two tests share
+    the call, so the second reads its values at offset n.  The values are
+    integers summing to 0, so the centring and the variance of a permuted
+    series are exact and its unit deviations are the permuted ones."""
+    generator = np.random.default_rng(n)
+    series = generator.integers(-40, 41, (2, n)).astype(float)
+    series[:, 0] -= series.sum(axis=1)
+    spreads = [TimeSeries(values).spread() for values in series]
+    units = np.stack([unit for unit, _, _ in spreads])
+    scales = np.array([kernels.msi_scale(n, variance) for _, variance, _ in spreads])
+    positions = rng.permutation_rows(np.arange(n, dtype=np.min_scalar_type(n - 1)), rng.substream_seeds(n, 4))
+    expected = [[analyze_spectrum(values[order]).msi for order in positions[2 * t : 2 * t + 2]]
+                for t, values in enumerate(series)]
+    for tile_bytes in (1, 8 * n * len(positions)):
+        monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
+        assert kernels.null_msi(units, positions, scales).tolist() == expected

@@ -115,6 +115,21 @@ class TestSimulateNull:
         assert max(peaks) < 2 * budget, peaks
         assert max(peaks) <= 1.05 * min(peaks), peaks
 
+    def test_long_series_shuffles_positions_not_values(self):
+        """n=5000, M=1000 in one block: the shuffled positions are uint16,
+        2 bytes each, and the traced peak stays under twice their 10 MB,
+        where the float values alone would take 40 MB."""
+        ts = TimeSeries(np.random.default_rng(2).standard_t(2, 5000))
+        ts.spread()  # the series' own arrays, computed once per series
+        positions_bytes = 5000 * 1000 * np.dtype(np.uint16).itemsize
+        tracemalloc.start()
+        try:
+            simulate_null(ts, PermutationPlan(master_seed=5, n_permutations=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * positions_bytes, peak
+
     def test_degenerate_series_propagates(self):
         with pytest.raises(DegenerateSeriesError):
             simulate_null([2.0, 2.0, 2.0], PermutationPlan(master_seed=0, n_permutations=5))
@@ -231,7 +246,7 @@ class TestTies:
             values = np.round(generator.standard_normal(n), 1)
             centered, variance = TimeSeries(values).centered()
             perms = rearrange(np.arange(n))[None]
-            tied = kernels.null_msi(centered[perms], kernels.msi_scale(n, variance))
+            tied = kernels.null_msi(centered[None], perms, kernels.msi_scale(n, variance))[0]
             null = NullDistribution(msi_values=tied, plan=PermutationPlan(0, 1))
             assert exceedance_count(analyze_spectrum(values).msi, null) == 1, n
 

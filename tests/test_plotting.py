@@ -7,6 +7,7 @@ from permspec import (
     PermutationPlan,
     analyze_spectrum,
     build_plot_model,
+    plotting,
     render_plot,
     simulate_null,
     summarize_test,
@@ -53,6 +54,28 @@ def test_kde_integrates_to_one(test_pieces):
     density = gaussian_kde(null.msi_values, grid, bandwidth)
     mass = np.trapezoid(density, grid)
     assert mass == pytest.approx(1.0, abs=1e-3)
+
+
+def formula_kde(values, grid, bandwidth):
+    """The density as one array expression, the reference for the blocked one."""
+    z = (grid[:, None] - values[None, :]) / bandwidth
+    kernel = np.exp(-0.5 * z * z)
+    return kernel.sum(axis=1) / (values.size * bandwidth * np.sqrt(2.0 * np.pi))
+
+
+@pytest.mark.parametrize("size", [1, 7, 1000, 3001])
+@pytest.mark.parametrize("block_bytes", [None, 8 * 3001 * 3, 1], ids=["default", "3-rows", "1-row"])
+def test_blocked_kde_is_the_formula_bit_for_bit(size, block_bytes, monkeypatch):
+    """In blocks of grid points, partial last blocks included, the density
+    equals the one-expression formula bit for bit, for tied values and for
+    bandwidths whose kernel underflows to 0 or stays near 1."""
+    if block_bytes is not None:
+        monkeypatch.setattr(plotting, "KDE_BLOCK_BYTES", block_bytes)
+    values = np.round(np.random.default_rng(size).gamma(3.0, 1.0, size), 2)
+    grid = np.linspace(0.0, float(values.max()) + 1.0, 200)
+    for bandwidth in (silverman_bandwidth(values), 1e-3, 1e3):
+        expected = formula_kde(values, grid, bandwidth)
+        assert gaussian_kde(values, grid, bandwidth).tobytes() == expected.tobytes()
 
 
 def test_svg_is_well_formed_with_expected_structure(test_pieces, tmp_path):

@@ -257,19 +257,34 @@ class TestBlockReplicates:
         assert decision_group(dtype(60), dtype(200)) == decision_group(60, 200) == 21
 
 
-# the desk grid's minor page faults, printed by a fresh interpreter
-_DESK_GRID_FAULTS = """
+# the minor page faults of a second run of a call, printed by a fresh
+# interpreter: the first run makes the first-call allocations
+_FAULTS = """
 import resource
-from permspec import desk_scale_config, run_grid
+from permspec import desk_scale_config, run_cell, run_grid
 
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-run_grid(desk_scale_config(1, replicates=100))  # first-call allocations
+{first}
 before = faults()
-run_grid(desk_scale_config(2, replicates=100))
+{second}
 print(faults() - before)
 """
+
+
+def faults_in_fresh_interpreter(first: str, second: str) -> int:
+    """Minor page faults of the permspec call ``second`` after ``first``,
+    counted in a fresh interpreter, as a user's run starts: in this one,
+    earlier tests have grown the heap so far that no round faults, held
+    buffers or not."""
+    package_root = str(Path(power.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _FAULTS.format(first=first, second=second)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    return int(run.stdout)
 
 
 class TestMemory:
@@ -302,40 +317,29 @@ class TestMemory:
         reason="counts the minor page faults of glibc's allocator on Linux",
     )
     def test_rounds_reuse_the_cells_buffers(self):
-        """Every round of a cell shuffles in the arrays of its first.  Rounds
-        of MBs of rows (M=1000, n=120) shuffled in fresh arrays, which the
-        allocator hands back to the OS between rounds, take tens of
-        thousands of minor page faults a call; held ones, under a thousand.
-        Starting rows still held while a round is scored take about 4,500."""
-        import resource
-
-        def faults():
-            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-        run_cell("t2", 120, 0.6, 100, 1000, 0.05, cell_seed=6)  # first-call allocations
-        before = faults()
-        run_cell("t2", 120, 0.6, 100, 1000, 0.05, cell_seed=6)
-        assert faults() - before < 2_000, faults() - before
+        """Every round of a cell shuffles and scores in the arrays of its
+        first.  A cell of M=1000, n=120 takes about 1,000 minor page faults,
+        for the arrays it holds; one that gathers each round's rows into a
+        fresh tile, which the allocator hands back to the OS between
+        rounds, takes about 4,700."""
+        cell = 'run_cell("t2", 120, 0.6, 100, 1000, 0.05, cell_seed=6)'
+        faults = faults_in_fresh_interpreter(cell, cell)
+        assert faults < 2_000, faults
 
     @pytest.mark.skipif(
         sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
         reason="counts the minor page faults of glibc's allocator on Linux",
     )
     def test_desk_grid_does_not_fault_its_rounds_back_in(self):
-        """The desk grid's rounds reuse memory the allocator keeps: about
-        2,400 minor page faults for its 4,000 tests.  Whether glibc trims
-        the heap between rounds hangs on which temporary is alive when
-        another is freed; starting rows held while a round is scored take
-        about 3,500.  Counted in a fresh interpreter, as a user's run
-        starts: in this one, earlier tests have grown the heap so far that
-        no round faults either way."""
-        package_root = str(Path(power.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-c", _DESK_GRID_FAULTS],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+        """The desk grid's cells share one set of buffers, and its rounds
+        reuse memory the allocator keeps: about 50 minor page faults for
+        its 1,600 tests.  A set of buffers per cell takes about 4,700, and
+        a fresh gather tile per round about 7,000."""
+        faults = faults_in_fresh_interpreter(
+            "run_grid(desk_scale_config(1, replicates=100))",
+            "run_grid(desk_scale_config(2, replicates=100))",
         )
-        assert int(run.stdout) < 3_000, run.stdout
+        assert faults < 3_000, faults
 
 
 class TestRunGrid:

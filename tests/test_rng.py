@@ -106,17 +106,6 @@ def test_substream_seeds_of_many_bases_from_any_offset():
         np.testing.assert_array_equal(row, rng.substream_seeds(base, 10)[6:])
 
 
-def test_permutation_rows_with_per_row_starting_values():
-    """Each row of a (rows, n) start is shuffled by its own seed's
-    Fisher-Yates order, as the oracle gives it."""
-    starts = np.random.default_rng(3).standard_normal((len(ORACLE_SEEDS), 9))
-    rows = rng.permutation_rows(starts, ORACLE_SEEDS)
-    for start, seed, row in zip(starts, ORACLE_SEEDS.tolist(), rows):
-        np.testing.assert_array_equal(row, start[fisher_yates(9, seed)])
-    with pytest.raises(ValueError, match="rows of starting values"):
-        rng.permutation_rows(starts[:-1], ORACLE_SEEDS)
-
-
 def test_permutation_rows_matches_single_permutation():
     seeds = rng.substream_seeds(7, 5)
     matrix = rng.permutation_rows(np.arange(8), seeds)
@@ -178,8 +167,8 @@ def test_permutation_rows_follow_the_fisher_yates_oracle(n, draw_block_bytes, mo
 
 
 def test_permutation_rows_follow_the_oracle_across_default_draw_blocks():
-    """1003 rows of n=240: the default block holds 130 of the 239 steps, so
-    the second block is partial."""
+    """1003 rows of n=240: the default block holds 32 of the 239 steps, so
+    the last block is partial."""
     seeds = np.concatenate([ORACLE_SEEDS[:2], rng.substream_seeds(5, 1001)])
     assert (240 - 1) % (rng.DRAW_BLOCK_BYTES // (8 * seeds.size)) != 0
     values = np.round(np.random.default_rng(3).standard_normal(240), 2)
@@ -188,10 +177,10 @@ def test_permutation_rows_follow_the_oracle_across_default_draw_blocks():
         np.testing.assert_array_equal(row, values[fisher_yates(240, seed)])
 
 
-# (n, rows, kind) of one call: a shared start vector of floats or of
-# indices, or float starting values of each row's own
+# (n, rows, kind) of one call: a start vector of floats, of indices, or of
+# positions in the narrowest unsigned type, as the null shuffles them
 shuffle_calls = st.lists(
-    st.tuples(st.integers(1, 40), st.integers(1, 30), st.sampled_from(["float", "index", "float rows"])),
+    st.tuples(st.integers(1, 40), st.integers(1, 30), st.sampled_from(["float", "index", "positions"])),
     min_size=2,
     max_size=6,
 )
@@ -202,13 +191,15 @@ shuffle_calls = st.lists(
 def test_held_buffers_carry_nothing_between_calls(calls, draw_block_bytes, seed):
     """One ShuffleBuffers through calls whose n and row count grow and
     shrink, its arrays poisoned first (NaN floats, -1 indices, all-ones
-    draws): every call shuffles in the held arrays, and its rows equal a
-    fresh call's bit for bit and follow the Fisher-Yates oracle."""
+    positions and draws): every call shuffles in the held arrays, and its
+    rows equal a fresh call's bit for bit and follow the Fisher-Yates
+    oracle."""
     buffers = rng.ShuffleBuffers()
     largest = max(n * rows for n, rows, _ in calls)
-    held = {dtype: buffers.take("work", (largest,), dtype) for dtype in (np.float64, np.intp)}
+    held = {dtype: buffers.take("work", (largest,), dtype) for dtype in (np.float64, np.intp, np.uint8)}
     held[np.float64].fill(np.nan)
     held[np.intp].fill(-1)
+    held[np.uint8].fill(255)
     for name in ("draws", "draw scratch"):
         buffers.take(name, (largest,), np.uint64).fill(2**64 - 1)
     generator = np.random.default_rng(seed)
@@ -219,12 +210,11 @@ def test_held_buffers_carry_nothing_between_calls(calls, draw_block_bytes, seed)
             values = {
                 "float": generator.standard_normal(n),
                 "index": np.arange(n, dtype=np.intp),
-                "float rows": generator.standard_normal((rows, n)),
+                "positions": np.arange(n, dtype=np.min_scalar_type(n - 1)),
             }[kind]
             shuffled = rng.permutation_rows(values, seeds, buffers)
             assert np.shares_memory(shuffled, held[values.dtype.type])
             fresh = rng.permutation_rows(values, seeds)
             assert shuffled.dtype == fresh.dtype and shuffled.tobytes() == fresh.tobytes()
             orders = np.array([fisher_yates(n, s) for s in seeds.tolist()])
-            starts = np.broadcast_to(values, orders.shape)
-            np.testing.assert_array_equal(shuffled, np.take_along_axis(starts, orders, axis=1))
+            np.testing.assert_array_equal(shuffled, values[orders])
