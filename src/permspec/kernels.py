@@ -14,15 +14,18 @@ import numpy as np
 
 from .rng import ShuffleBuffers
 
-# Bytes of float rows null_msi gathers and transforms at once: a tile stays
-# in cache, and no spectrum of more than one tile is ever held.
+# The most bytes of float rows null_msi gathers and transforms at once: a
+# tile stays in cache, and no spectrum of more than one tile is ever held.
+# A call gathers no more float bytes per tile than it holds positions, so the
+# small rounds of a power study gather in small tiles.
 TILE_BYTES = 1 << 20
 
 
-def transform(values: np.ndarray) -> np.ndarray:
+def transform(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised DFT of real rows along the last axis: the half spectrum,
-    frequencies 0 .. n//2; the rest are its conjugates."""
-    return np.fft.rfft(values, axis=-1)
+    frequencies 0 .. n//2; the rest are its conjugates.  ``out``, a complex
+    array of the spectrum's shape, receives it in place of a fresh one."""
+    return np.fft.rfft(values, axis=-1, out=out)
 
 
 def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleBuffers | None = None):
@@ -37,30 +40,38 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
 
     A tile of rows at a time is gathered into held float rows, each row's
     positions offset by ``t*n`` into the flattened units, and transformed
-    like an observed series.  The max over all non-zero frequencies equals
-    the max over the half spectrum by conjugate symmetry.  Each row's
-    transform is independent of its tile, so the tiling changes no bit.
-    The tile arrays are taken from ``buffers`` (fresh ones without).
+    like an observed series.  A tile takes at most ``TILE_BYTES`` of float
+    rows, and at most as many bytes as all of ``positions``: 26 rows (1 MiB)
+    at n=5000, M=1000, but 543 rows (128 KiB) of a first power-study round
+    of 4,350 rows at n=30.  The max over all non-zero frequencies equals the
+    max over the half spectrum by conjugate symmetry.  Each row's transform
+    is independent of its tile, so the tiling changes no bit.  The index,
+    then the spectrum, and the tile take the memory of the draw blocks of
+    :func:`permspec.rng.permutation_rows`, spent once ``positions`` are
+    shuffled, from ``buffers`` (fresh ones without).
     """
     tests, n = units.shape
     rows = len(positions)
     size = rows // tests
-    per_tile = min(rows, max(1, TILE_BYTES // (8 * n)))
+    per_tile = min(rows, max(1, min(TILE_BYTES, positions.nbytes) // (8 * n)))
     if buffers is None:
         buffers = ShuffleBuffers()
-    index = buffers.take("tile positions", (per_tile, n), np.intp)
-    gathered = buffers.take("tile", (per_tile, n), np.float64)
+    # a tile's spectrum overwrites its index, which the take has consumed: a
+    # fresh spectrum per tile would be handed back to the OS and faulted in
+    # again whenever the allocator trims its heap
+    spectra = buffers.take("draws", (per_tile, n // 2 + 1), np.complex128)
+    index = buffers.take("draws", (per_tile, n), np.intp)
+    gathered = buffers.take("draw scratch", (per_tile, n), np.float64)
     flat = units.reshape(-1)
-    offsets = (np.arange(rows) // size * n)[:, None]  # row r permutes units[r // size]
     peaks = np.empty(rows)
     for low in range(0, rows, per_tile):
         high = min(low + per_tile, rows)
         at, tile = index[: high - low], gathered[: high - low]
         at[...] = positions[low:high]
-        at += offsets[low:high]
+        at += (np.arange(low, high) // size * n)[:, None]  # row r permutes units[r // size]
         # "clip" skips take's buffered bounds check: positions are in range
         flat.take(at, out=tile, mode="clip")
-        spectrum = transform(tile)
+        spectrum = transform(tile, spectra[: high - low])
         # the moduli take the place of the gathered rows, which the transform
         # no longer needs: a contiguous output, which numpy fills unbuffered
         moduli = tile.reshape(-1)[: spectrum.size].reshape(spectrum.shape)

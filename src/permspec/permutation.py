@@ -23,10 +23,14 @@ from .spectral import SpectrumAnalysis, analyze_spectrum
 # Relative tie tolerance of the exceedance count, as in scipy.stats.permutation_test.
 TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
 
-# The row budget of a null round, read by ``_round_rows`` alone: memory stays
-# flat in the number of permutations, and M=1000 rows of n=5000 take one block.
-ROW_BLOCK_BYTES = 64 << 20
-DECISION_ROUND_BYTES = 256 << 10
+# The budget of a null round in bytes of the positions it shuffles, read by
+# ``_round_rows`` alone: memory stays flat in the number of permutations, and
+# M=1000 rows of n=5000 take one block.  A round's fixed cost, a few numpy
+# calls per Fisher-Yates step, is spread over the 4,369 rows of n=30 that
+# fill DECISION_ROUND_BYTES; 64 KiB lost most of that gain, and 256 KiB
+# gained little more for a larger peak memory.
+ROW_BLOCK_BYTES = 16 << 20
+DECISION_ROUND_BYTES = 128 << 10
 
 # Each round of count_rejections shuffles the next DECISION_BLOCK
 # simulations of every undecided test of a group in one engine call.
@@ -89,8 +93,9 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     values are permuted and scored by ``_null_round``, the one test case
     of :func:`count_rejections`' rounds, in blocks of
     ``_round_rows`` rows, the rule that also sizes those rounds: all M
-    rows, unless they pass ``ROW_BLOCK_BYTES``.  Row m depends on its seed
-    alone, so the blocking changes no bit.
+    rows, unless their shuffled positions pass ``ROW_BLOCK_BYTES`` (838
+    rows of n=10,000).  Row m depends on its seed alone, so the blocking
+    changes no bit.
     """
     ts = as_time_series(series)
     unit, variance, _ = ts.spread()
@@ -111,8 +116,7 @@ def _null_round(units, scales, master_seeds, first: int, size: int, buffers: rng
     Positions are shuffled, and the kernel gathers the values from them."""
     n = units.shape[1]
     row_seeds = rng.substream_seeds(master_seeds, size, first).reshape(-1)
-    # the narrowest unsigned positions: uint8 up to n=256, uint16 up to 65,536
-    positions = rng.permutation_rows(np.arange(n, dtype=np.min_scalar_type(n - 1)), row_seeds, buffers)
+    positions = rng.permutation_rows(np.arange(n, dtype=_position_type(n)), row_seeds, buffers)
     return kernels.null_msi(units, positions, scales, buffers)
 
 
@@ -148,11 +152,19 @@ def _p_value_of(exceedances, permutations: int):
     return exceedances / permutations
 
 
+def _position_type(n: int) -> np.dtype:
+    """The narrowest unsigned type of the positions 0 .. n-1 a null round
+    shuffles: uint8 up to n=256, uint16 up to 65,536, uint32 beyond."""
+    return np.min_scalar_type(int(n) - 1)
+
+
 def _round_rows(n: int, permutations: int) -> int:
-    """The one memory rule of the null: a round holds float64 rows of length
-    ``n`` that fill ``DECISION_ROUND_BYTES``, or all M rows where that is
-    more, up to ``ROW_BLOCK_BYTES``, and at least one row."""
-    row_bytes = 8 * int(n)  # Python ints: a numpy n or M may be too narrow for bytes
+    """The one memory rule of the null: a round holds the rows of ``n``
+    shuffled positions (:func:`_position_type`) that fill
+    ``DECISION_ROUND_BYTES``, or all M rows where that is more, up to
+    ``ROW_BLOCK_BYTES``, and at least one row."""
+    # Python ints: a numpy n or M may be too narrow for bytes
+    row_bytes = int(n) * _position_type(n).itemsize
     budget = min(max(DECISION_ROUND_BYTES, int(permutations) * row_bytes), ROW_BLOCK_BYTES)
     return max(1, budget // row_bytes)
 
@@ -161,7 +173,8 @@ def decision_group(n: int, permutations: int) -> int:
     """How many tests of length ``n`` one :func:`count_rejections` call
     should hold: enough that its first round, ``min(DECISION_BLOCK, M)``
     simulations of each, fills the ``_round_rows`` rows that also block
-    one test's :func:`simulate_null`."""
+    one test's :func:`simulate_null`: 174 tests of n=30 and 87 of n=60 at
+    M=200."""
     return max(1, _round_rows(n, permutations) // min(DECISION_BLOCK, int(permutations)))
 
 
@@ -183,8 +196,10 @@ def count_rejections(
     not have changed it.  Each round, one ``_null_round`` call, shuffles
     and scores the next block of simulations of every undecided test at
     once, in ``buffers``, which a caller with many groups holds for all
-    their rounds.  Hence the simulations a test draws are the first ones of
-    its :func:`simulate_null`, bit for bit.
+    their rounds; a round's shuffled positions fill at most the
+    ``DECISION_ROUND_BYTES`` that :func:`decision_group` sizes a group by.
+    Hence the simulations a test draws are the first ones of its
+    :func:`simulate_null`, bit for bit.
     """
     check_permutations(permutations)
     # identity positions give the observed MSIs

@@ -157,10 +157,13 @@ def run_cell(
 
     Replicate r is ``random_composite`` of noise seed ``seed_chain(cell_seed,
     r, 0)`` tested with master seed ``seed_chain(cell_seed, r, 1)``.  The
-    replicates are made and decided a block at a time, as arrays, so memory
-    does not grow with their number and no object is built per replicate.
-    Every round of the cell shuffles and scores in ``buffers``, which a
-    caller with many cells holds for all of them (fresh ones without).
+    replicates are made and decided a block of :func:`decision_group` at a
+    time, as arrays, so memory does not grow with their number and no
+    object is built per replicate.  Every round of the cell shuffles and
+    scores in ``buffers``, which a caller with many cells holds for all of
+    them (fresh ones without).  The blocks and the gather tiles of the
+    rounds change no count: a replicate's simulations are a pure function
+    of its seed and their index.
     """
     spec = NoiseSpec(distribution, n)
     check_snr(snr)

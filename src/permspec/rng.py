@@ -127,8 +127,9 @@ def substream_seeds(base_seed, count: int, first: int = 0) -> np.ndarray:
 
 class ShuffleBuffers:
     """The large work arrays of a null round, held across calls: the
-    working matrix and draw blocks of :func:`permutation_rows`, and the
-    gather tile of :func:`permspec.kernels.null_msi`.
+    working matrix of :func:`permutation_rows`, and two scratch blocks
+    that hold its draws and then, once the rows are shuffled, the gather
+    index and tile of :func:`permspec.kernels.null_msi`.
 
     A caller that shuffles and scores block after block of rows passes
     one of these to every call: each array is then allocated at the
@@ -139,17 +140,18 @@ class ShuffleBuffers:
     """
 
     def __init__(self):
-        self._held = {}  # (name, dtype) -> 1-d array, grown as needed
+        self._held = {}  # name -> 1-d uint8 array of bytes, grown as needed
 
     def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Uninitialised array ``name`` of ``shape`` and ``dtype``: a
-        C-ordered view of the first elements of the held one, which is
-        replaced by a larger one when it is too small."""
-        key, size = (name, np.dtype(dtype)), math.prod(shape)
-        held = self._held.get(key)
+        C-ordered view of the first bytes of the held one, whatever dtype
+        they were last taken as, which is replaced by a larger one when it
+        is too small."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        held = self._held.get(name)
         if held is None or held.size < size:
-            held = self._held[key] = np.empty(size, dtype)
-        return held[:size].reshape(shape)
+            held = self._held[name] = np.empty(size, np.uint8)
+        return held[:size].view(dtype).reshape(shape)
 
 
 def permutation_rows(

@@ -74,9 +74,9 @@ class TestSimulateNull:
 
     @pytest.mark.parametrize("kind", ["real", "counts"])
     def test_row_blocks_change_no_bit(self, kind, monkeypatch):
-        """A row budget of 10 rows splits 103 permutations into ten blocks
-        and a last one of 3, all shuffled in one set of buffers; the null is
-        bit-identical to one block."""
+        """A budget of 10 rows of positions splits 103 permutations into ten
+        blocks and a last one of 3, all shuffled in one set of buffers; the
+        null is bit-identical to one block."""
         generator = np.random.default_rng(8)
         if kind == "real":
             values = np.round(generator.standard_normal(50), 2)
@@ -92,17 +92,18 @@ class TestSimulateNull:
             return shuffle(values, seeds, buffers)
 
         monkeypatch.setattr(rng, "permutation_rows", recorded)
-        monkeypatch.setattr(permutation, "ROW_BLOCK_BYTES", 10 * values.nbytes)
+        monkeypatch.setattr(permutation, "ROW_BLOCK_BYTES", 10 * 50 * np.dtype(np.uint8).itemsize)
         blocked = simulate_null(values, plan).msi_values
         assert [rows for rows, _ in blocks] == [10] * 10 + [3]
         assert len({id(buffers) for _, buffers in blocks}) == 1  # one set of arrays for all blocks
         assert blocked.tobytes() == whole.tobytes()
 
     def test_peak_memory_is_bounded_by_the_row_budget(self, monkeypatch):
-        """A block of shuffled rows is held once: the traced peak stays
-        under twice the row budget and does not grow with M."""
-        budget = 8 << 20
-        monkeypatch.setattr(permutation, "ROW_BLOCK_BYTES", budget)
+        """A block of shuffled rows is held once: with blocks of 1,048 rows
+        of n=1000 uint16 positions (2 MiB), the traced peak stays under
+        twice their 8 MiB of float values and does not grow with M."""
+        monkeypatch.setattr(permutation, "ROW_BLOCK_BYTES", 2 << 20)
+        assert permutation._round_rows(1000, 4000) == 1048
         values = np.random.default_rng(4).standard_normal(1000)
         peaks = []
         for m in (1000, 4000):
@@ -112,7 +113,7 @@ class TestSimulateNull:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) < 2 * budget, peaks
+        assert max(peaks) < 16 << 20, peaks
         assert max(peaks) <= 1.05 * min(peaks), peaks
 
     def test_long_series_shuffles_positions_not_values(self):

@@ -18,13 +18,14 @@ from permspec import (
     desk_scale_config,
     kernels,
     load_table,
+    permutation,
     power,
     random_composite,
     run_cell,
     run_grid,
     save_table,
 )
-from permspec.permutation import DECISION_BLOCK, DECISION_ROUND_BYTES, decision_group
+from permspec.permutation import DECISION_BLOCK, DECISION_ROUND_BYTES, _position_type, _round_rows, decision_group
 from permspec.power import render_table
 from permspec.rng import seed_chain
 
@@ -145,16 +146,49 @@ class TestEarlyDecisions:
             pytest.param("t2", 10, 1.0, 40, 7, 0.3, id="M-7"),
             pytest.param("normal", 10, 1.0, 40, 26, 0.05, id="M-26"),
             pytest.param("normal", 8, 0.8, 1, 100, 0.05, id="K-1"),
-            pytest.param(
-                "normal", 8, 0.8, DECISION_ROUND_BYTES // (DECISION_BLOCK * 8 * 8) + 1, 100, 0.2,
-                id="K-one-past-a-group",
-            ),
+            pytest.param("normal", 8, 0.8, decision_group(8, 100) + 1, 100, 0.2, id="K-one-past-a-group"),
         ],
     )
     def test_rejections_equal_the_full_tests(self, distribution, n, snr, replicates, permutations, alpha):
         _, expected = self.reference_rejections(distribution, n, snr, replicates, permutations, alpha, 11)
         cell = run_cell(distribution, n, snr, replicates, permutations, alpha, cell_seed=11)
         assert cell.rejections == expected
+
+
+class TestBatching:
+    """A cell's count is a pure function of its seeds: how its replicates
+    are grouped into :func:`count_rejections` calls and its rows into
+    gather tiles changes nothing."""
+
+    CELLS = {
+        "t2": ("t2", 30, 0.4, 60, 100, 0.05, 4),
+        "alpha-0.29-edge": ("normal", 8, 0.0, 300, 100, 0.29, 1),
+    }
+
+    @staticmethod
+    def group(monkeypatch, tests, n, permutations):
+        """Budget rounds so that a group holds ``tests`` tests.  A round
+        takes all M rows where they pass ``DECISION_ROUND_BYTES``, up to
+        ``ROW_BLOCK_BYTES``, so groups below M/25 tests need both budgets."""
+        budget = tests * min(DECISION_BLOCK, permutations) * n * _position_type(n).itemsize
+        monkeypatch.setattr(permutation, "DECISION_ROUND_BYTES", budget)
+        monkeypatch.setattr(permutation, "ROW_BLOCK_BYTES", budget)
+        assert decision_group(n, permutations) == tests
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_counts_do_not_depend_on_the_batching(self, monkeypatch, cell):
+        """One-test groups, groups of 7 (K is no multiple of 7, so the last
+        group is partial), all K in one group, and one-row tiles."""
+        args = self.CELLS[cell]
+        _, n, _, replicates, permutations, _, _ = args
+        assert replicates % 7
+        expected = run_cell(*args)
+        for tests in (1, 7, replicates):
+            with monkeypatch.context() as patch:
+                self.group(patch, tests, n, permutations)
+                assert run_cell(*args) == expected, tests
+        monkeypatch.setattr(kernels, "TILE_BYTES", 1)
+        assert run_cell(*args) == expected
 
 
 class TestBlockReplicates:
@@ -254,7 +288,13 @@ class TestBlockReplicates:
     def test_numpy_lengths_and_counts_size_groups_as_python_ints(self, dtype):
         """The checks accept numpy integers; the byte arithmetic must not
         overflow or wrap in their dtype (8 * 60 and 200 * 480 do in uint8)."""
-        assert decision_group(dtype(60), dtype(200)) == decision_group(60, 200) == 21
+        assert decision_group(dtype(60), dtype(200)) == decision_group(60, 200) == 87
+
+    def test_rounds_are_budgeted_in_shuffled_positions(self):
+        """A round's budget counts the positions it shuffles, one byte each
+        up to n=256 and two from n=257, so its rows about halve there."""
+        assert _round_rows(256, 1) == DECISION_ROUND_BYTES // 256
+        assert _round_rows(257, 1) == DECISION_ROUND_BYTES // (2 * 257)
 
 
 # the minor page faults of a second run of a call, printed by a fresh
@@ -301,12 +341,13 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * max(permutations * n * 8, DECISION_ROUND_BYTES)
+        assert peak < 6 * max(permutations * n * 8, 256 << 10)
         return peak
 
     def test_flat_in_replicates(self):
-        # n=60, M=200: a group is 21 replicates
-        assert self.peak(60, 400, 200) <= 1.1 * self.peak(60, 40, 200)
+        # n=60, M=200: two groups of replicates against twenty
+        group = decision_group(60, 200)
+        assert self.peak(60, 20 * group, 200) <= 1.1 * self.peak(60, 2 * group, 200)
 
     def test_flat_in_permutations(self):
         # n=16: 2048 rows fill the round budget, more than M=2000 rows
