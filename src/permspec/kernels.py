@@ -16,8 +16,11 @@ from .rng import ShuffleBuffers
 
 # The most bytes of float rows null_msi gathers and transforms at once: a
 # tile stays in cache, and no spectrum of more than one tile is ever held.
-# A call gathers no more float bytes per tile than it holds positions, so the
-# small rounds of a power study gather in small tiles.
+# A tile also takes no more float bytes than the call has positions, so the
+# held tile and its spectrum take about twice a power-study round's 128 KiB
+# of positions.  Tiles of twice the positions, or of TILE_BYTES, held up to
+# 0.7 and 2 MiB more at the desk grid's peak (2% and 5% of the process) for
+# a gather 7-9% and 11-18% faster.
 TILE_BYTES = 1 << 20
 
 
@@ -45,10 +48,10 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
     at n=5000, M=1000, but 543 rows (128 KiB) of a first power-study round
     of 4,350 rows at n=30.  The max over all non-zero frequencies equals the
     max over the half spectrum by conjugate symmetry.  Each row's transform
-    is independent of its tile, so the tiling changes no bit.  The index,
-    then the spectrum, and the tile take the memory of the draw blocks of
-    :func:`permspec.rng.permutation_rows`, spent once ``positions`` are
-    shuffled, from ``buffers`` (fresh ones without).
+    is independent of its tile, so the tiling changes no bit.  The tile
+    and its spectrum are taken from ``buffers`` (fresh ones without), and
+    the index lives in the spectrum's memory, as ``take`` has consumed it
+    before the transform writes there.
     """
     tests, n = units.shape
     rows = len(positions)
@@ -56,12 +59,12 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
     per_tile = min(rows, max(1, min(TILE_BYTES, positions.nbytes) // (8 * n)))
     if buffers is None:
         buffers = ShuffleBuffers()
-    # a tile's spectrum overwrites its index, which the take has consumed: a
-    # fresh spectrum per tile would be handed back to the OS and faulted in
-    # again whenever the allocator trims its heap
-    spectra = buffers.take("draws", (per_tile, n // 2 + 1), np.complex128)
-    index = buffers.take("draws", (per_tile, n), np.intp)
-    gathered = buffers.take("draw scratch", (per_tile, n), np.float64)
+    gathered = buffers.take("tile", (per_tile, n), np.float64)
+    # a fresh spectrum per tile would be handed back to the OS and faulted
+    # in again whenever the allocator trims its heap
+    spectra = buffers.take("tile spectrum", (per_tile, n // 2 + 1), np.complex128)
+    # 8n bytes a row, within the spectrum's 16 * (n//2 + 1)
+    index = spectra.reshape(-1).view(np.intp)[: per_tile * n].reshape(per_tile, n)
     flat = units.reshape(-1)
     peaks = np.empty(rows)
     for low in range(0, rows, per_tile):

@@ -127,9 +127,8 @@ def substream_seeds(base_seed, count: int, first: int = 0) -> np.ndarray:
 
 class ShuffleBuffers:
     """The large work arrays of a null round, held across calls: the
-    working matrix of :func:`permutation_rows`, and two scratch blocks
-    that hold its draws and then, once the rows are shuffled, the gather
-    index and tile of :func:`permspec.kernels.null_msi`.
+    working matrix and draw blocks of :func:`permutation_rows`, and the
+    gather tile and its spectrum of :func:`permspec.kernels.null_msi`.
 
     A caller that shuffles and scores block after block of rows passes
     one of these to every call: each array is then allocated at the
@@ -140,18 +139,17 @@ class ShuffleBuffers:
     """
 
     def __init__(self):
-        self._held = {}  # name -> 1-d uint8 array of bytes, grown as needed
+        self._held = {}  # (name, dtype) -> 1-d array, grown as needed
 
     def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Uninitialised array ``name`` of ``shape`` and ``dtype``: a
-        C-ordered view of the first bytes of the held one, whatever dtype
-        they were last taken as, which is replaced by a larger one when it
-        is too small."""
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        held = self._held.get(name)
+        C-ordered view of the first elements of the held one, which is
+        replaced by a larger one when it is too small."""
+        key, size = (name, np.dtype(dtype)), math.prod(shape)
+        held = self._held.get(key)
         if held is None or held.size < size:
-            held = self._held[name] = np.empty(size, np.uint8)
-        return held[:size].view(dtype).reshape(shape)
+            held = self._held[key] = np.empty(size, dtype)
+        return held[:size].reshape(shape)
 
 
 def permutation_rows(
@@ -209,9 +207,14 @@ def _swap_targets(seeds: np.ndarray, n: int, buffers: ShuffleBuffers):
     lanes = np.arange(rows, dtype=_U64)
     steps_per_block = max(1, min(n - 1, DRAW_BLOCK_BYTES // (8 * max(rows, 1))))
     # the draws of every block, and of every call with the same buffers,
-    # are computed in the same two arrays
-    block = buffers.take("draws", (steps_per_block, rows), _U64)
-    scratch = buffers.take("draw scratch", (steps_per_block, rows), _U64)
+    # are computed in the same two arrays.  They are held at the most any
+    # call takes, DRAW_BLOCK_BYTES or one step of rows: a call with fewer
+    # rows takes more steps, and would otherwise grow them by a few bytes.
+    held = max(rows, DRAW_BLOCK_BYTES // 8)
+    block, scratch = (
+        buffers.take(name, (held,), _U64)[: steps_per_block * rows].reshape(steps_per_block, rows)
+        for name in ("draws", "draw scratch")
+    )
     for first in range(1, n, steps_per_block):
         draw = np.arange(first, min(first + steps_per_block, n), dtype=_U64)[:, None]
         targets = block[: draw.size]

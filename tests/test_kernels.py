@@ -70,21 +70,42 @@ def test_observed_msis_are_the_identity_rows_of_one_batch(n):
     assert batch.tolist() == [analyze_spectrum(ts).msi for ts in series]
 
 
+def record_tiles(monkeypatch) -> list[int]:
+    """The number of rows of each tile null_msi transforms, in order."""
+    tiles, transform = [], kernels.transform
+
+    def recorded(values, out=None):
+        tiles.append(len(values))
+        return transform(values, out)
+
+    monkeypatch.setattr(kernels, "transform", recorded)
+    return tiles
+
+
 @pytest.mark.parametrize("kind", ["real", "counts"])
 def test_tiles_change_no_bit(kind, monkeypatch):
     """Shuffled positions, a strided view, of a group of three tests give
-    the same MSIs bit for bit in one tile, in tiles of 7 rows (which split
-    tests, the last one partial) and of one row."""
+    the same MSIs bit for bit in one tile, in tiles of 12 rows (the 5,100
+    bytes of uint8 positions cap a tile at 5,100 bytes of float rows), of
+    7 rows (which split tests, the last one partial) and of one row.
+    Positions of intp, as wide as the float rows, make the one tile."""
     generator = np.random.default_rng(9)
     spreads = [TimeSeries(readings(kind, 50, generator)).spread() for _ in range(3)]
     units = np.stack([unit for unit, _, _ in spreads])
     scales = np.array([kernels.msi_scale(50, variance) for _, variance, _ in spreads])
-    positions = rng.permutation_rows(np.arange(50, dtype=np.uint8), rng.substream_seeds(9, 3 * 34))
-    whole = kernels.null_msi(units, positions, scales)
+    seeds = rng.substream_seeds(9, 3 * 34)
+    positions = rng.permutation_rows(np.arange(50, dtype=np.uint8), seeds)
+    wide = rng.permutation_rows(np.arange(50, dtype=np.intp), seeds)
+    assert np.array_equal(wide, positions)
+    tiles = record_tiles(monkeypatch)
+    whole = kernels.null_msi(units, wide, scales)
     assert whole.shape == (3, 34)
-    for tile_bytes in (7 * 50 * 8, 1):
+    assert tiles == [102]
+    for tile_bytes, rows in ((kernels.TILE_BYTES, 12), (7 * 50 * 8, 7), (1, 1)):
+        tiles.clear()
         monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-        assert kernels.null_msi(units, positions, scales).tobytes() == whole.tobytes()
+        assert kernels.null_msi(units, positions, scales).tobytes() == whole.tobytes(), rows
+        assert tiles == [rows] * (102 // rows) + [102 % rows] * (102 % rows > 0)
 
 
 @pytest.mark.parametrize("n", [4999, 5003, 7919, 10007, 10000])
@@ -92,19 +113,25 @@ def test_gathered_null_is_the_analysis_of_the_permuted_series(n, monkeypatch):
     """At prime lengths and lengths with large prime factors, where the FFT
     takes other paths than at smooth ones, the MSIs gathered from shuffled
     positions equal ``analyze_spectrum`` of each permuted series bit for
-    bit, with one row per tile and all rows in one tile.  Two tests share
-    the call, so the second reads its values at offset n.  The values are
-    integers summing to 0, so the centring and the variance of a permuted
-    series are exact and its unit deviations are the permuted ones."""
+    bit, with one row per tile and all rows in one tile (from positions of
+    intp, as wide as the float rows, which do not cap the tile).  Two tests
+    share the call, so the second reads its values at offset n.  The values
+    are integers summing to 0, so the centring and the variance of a
+    permuted series are exact and its unit deviations are the permuted ones."""
     generator = np.random.default_rng(n)
     series = generator.integers(-40, 41, (2, n)).astype(float)
     series[:, 0] -= series.sum(axis=1)
     spreads = [TimeSeries(values).spread() for values in series]
     units = np.stack([unit for unit, _, _ in spreads])
     scales = np.array([kernels.msi_scale(n, variance) for _, variance, _ in spreads])
-    positions = rng.permutation_rows(np.arange(n, dtype=np.min_scalar_type(n - 1)), rng.substream_seeds(n, 4))
+    seeds = rng.substream_seeds(n, 4)
+    positions = rng.permutation_rows(np.arange(n, dtype=np.min_scalar_type(n - 1)), seeds)
+    wide = rng.permutation_rows(np.arange(n, dtype=np.intp), seeds)
     expected = [[analyze_spectrum(values[order]).msi for order in positions[2 * t : 2 * t + 2]]
                 for t, values in enumerate(series)]
-    for tile_bytes in (1, 8 * n * len(positions)):
+    tiles = record_tiles(monkeypatch)
+    for order, tile_bytes, rows in ((positions, 1, [1] * 4), (wide, 8 * n * 4, [4])):
+        tiles.clear()
         monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-        assert kernels.null_msi(units, positions, scales).tolist() == expected
+        assert kernels.null_msi(units, order, scales).tolist() == expected
+        assert tiles == rows
