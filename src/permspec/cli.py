@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from datetime import timedelta
@@ -23,7 +24,7 @@ from . import __version__
 from .errors import CsvParseError
 from .permutation import PermutationPlan, check_confidence, simulate_null, summarize_test
 from .plotting import render_plot
-from .power import StudyConfig, desk_scale_config, full_scale_config, run_grid, save_table
+from .power import StudyConfig, desk_scale_config, full_scale_config, render_table, run_grid
 from .report import render_report, write_report
 from .series import TimeSeries
 from .signals import DISTRIBUTIONS, CompositeSeries, random_composite
@@ -45,9 +46,10 @@ def ingest_csv(path, column: str | int = 0) -> TimeSeries:
 
     ``column`` may be a 0-based index or a header name.  A header row is
     detected by the selected cell not parsing as a number.  Any missing or
-    non-numeric data cell is an error naming its 1-based file row.
+    non-numeric data cell is an error naming its 1-based file row.  A
+    UTF-8 byte-order mark, which spreadsheets write, is skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         # keep original 1-based row numbers; skip rows with no cells at all
         rows = [
             (number, row)
@@ -200,8 +202,19 @@ def _cmd_power_study(args, config: StudyConfig) -> int:
         )
         sys.stdout.flush()
 
-    table = run_grid(config, progress=progress)
-    save_table(table, args.out)
+    # The results go to a file beside --out, created before the first cell
+    # so that an unwritable path fails before any work, and moved onto
+    # --out once complete, so that a failed run leaves an earlier file as it was.
+    partial = f"{args.out}.partial"
+    handle = open(partial, "w", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            table = run_grid(config, progress=progress)
+            handle.write(render_table(table))
+        os.replace(partial, args.out)
+    except BaseException:
+        os.remove(partial)
+        raise
     sys.stdout.write(f"wrote {len(table.cells)} cells to {args.out}\n")
     return 0
 

@@ -31,7 +31,7 @@ def transform(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.rfft(values, axis=-1, out=out)
 
 
-def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleBuffers | None = None):
+def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleBuffers):
     """MSIs of permuted copies of centred series, as a ``(tests, size)`` array.
 
     ``units`` holds one centred series of length n per row.  ``positions``
@@ -49,16 +49,14 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
     of 4,350 rows at n=30.  The max over all non-zero frequencies equals the
     max over the half spectrum by conjugate symmetry.  Each row's transform
     is independent of its tile, so the tiling changes no bit.  The tile
-    and its spectrum are taken from ``buffers`` (fresh ones without), and
-    the index lives in the spectrum's memory, as ``take`` has consumed it
-    before the transform writes there.
+    and its spectrum are taken from ``buffers``, and the index lives in
+    the spectrum's memory, as ``take`` has consumed it before the
+    transform writes there.
     """
     tests, n = units.shape
     rows = len(positions)
     size = rows // tests
     per_tile = min(rows, max(1, min(TILE_BYTES, positions.nbytes) // (8 * n)))
-    if buffers is None:
-        buffers = ShuffleBuffers()
     gathered = buffers.take("tile", (per_tile, n), np.float64)
     # a fresh spectrum per tile would be handed back to the OS and faulted
     # in again whenever the allocator trims its heap

@@ -116,7 +116,7 @@ def _null_round(units, scales, master_seeds, first: int, size: int, buffers: rng
     Positions are shuffled, and the kernel gathers the values from them."""
     n = units.shape[1]
     row_seeds = rng.substream_seeds(master_seeds, size, first).reshape(-1)
-    positions = rng.permutation_rows(np.arange(n, dtype=_position_type(n)), row_seeds, buffers)
+    positions = rng.permutation_rows(n, row_seeds, buffers)
     return kernels.null_msi(units, positions, scales, buffers)
 
 
@@ -152,19 +152,13 @@ def _p_value_of(exceedances, permutations: int):
     return exceedances / permutations
 
 
-def _position_type(n: int) -> np.dtype:
-    """The narrowest unsigned type of the positions 0 .. n-1 a null round
-    shuffles: uint8 up to n=256, uint16 up to 65,536, uint32 beyond."""
-    return np.min_scalar_type(int(n) - 1)
-
-
 def _round_rows(n: int, permutations: int) -> int:
     """The one memory rule of the null: a round holds the rows of ``n``
-    shuffled positions (:func:`_position_type`) that fill
+    shuffled positions (:func:`rng.position_type`) that fill
     ``DECISION_ROUND_BYTES``, or all M rows where that is more, up to
     ``ROW_BLOCK_BYTES``, and at least one row."""
     # Python ints: a numpy n or M may be too narrow for bytes
-    row_bytes = int(n) * _position_type(n).itemsize
+    row_bytes = int(n) * rng.position_type(n).itemsize
     budget = min(max(DECISION_ROUND_BYTES, int(permutations) * row_bytes), ROW_BLOCK_BYTES)
     return max(1, budget // row_bytes)
 

@@ -37,8 +37,9 @@ DRAW_BLOCK_BYTES = 256 << 10
 
 def check_integer(name: str, value) -> None:
     """Reject a seed or count ``name`` that is not a Python or numpy integer
-    (``3.0`` too: it would be written to a report as a float)."""
-    if not isinstance(value, (int, np.integer)):
+    (``3.0`` too: it would be written to a report as a float, and ``True``:
+    as a boolean)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
@@ -152,10 +153,15 @@ class ShuffleBuffers:
         return held[:size].reshape(shape)
 
 
-def permutation_rows(
-    values: np.ndarray, row_seeds: np.ndarray, buffers: ShuffleBuffers | None = None
-) -> np.ndarray:
-    """One uniformly shuffled copy of the ``(n,)`` vector ``values`` per row seed.
+def position_type(n: int) -> np.dtype:
+    """The narrowest unsigned type of the positions 0 .. n-1 that
+    :func:`permutation_rows` shuffles: uint8 up to n=256, uint16 up to
+    65,536, uint32 beyond."""
+    return np.min_scalar_type(int(n) - 1)
+
+
+def permutation_rows(n: int, row_seeds: np.ndarray, buffers: ShuffleBuffers) -> np.ndarray:
+    """One uniformly shuffled copy of the positions 0 .. n-1 per row seed.
 
     Fisher-Yates: step i = n-1 .. 1 of row ``m`` swaps elements i and
     ``draw % (i+1)``, where the draws are the splitmix64 counter stream of
@@ -163,31 +169,26 @@ def permutation_rows(
     shuffled in lockstep, one swap position per vectorised step, so a row
     depends on its seed alone.  The modulo draw carries a bias below
     ``n / 2**64``, many orders of magnitude under anything observable.
-    The null shuffles positions, ``np.arange(n)`` in the narrowest
-    unsigned type that holds them, rather than float values: each step's
-    random reads and writes then span a quarter (n <= 65,536) or an
-    eighth (n <= 256) of the bytes.
+    The positions are of :func:`position_type`, so each step's random
+    reads and writes span a quarter (n <= 65,536) or an eighth (n <= 256)
+    of the bytes of float values; a caller gathers its values from them.
 
-    Returns an ``(len(row_seeds), n)`` array of ``values``' dtype: the
-    transposed view of the shuffled ``(n, len(row_seeds))`` working matrix,
-    so row m is column m of one C-ordered array.  The matrix and the draw
-    blocks are taken from ``buffers``, so the result is a view into them
-    that the next call with the same buffers overwrites; without
-    ``buffers`` they are fresh, and so is the result.
+    Returns a ``(len(row_seeds), n)`` array: the transposed view of the
+    shuffled ``(n, len(row_seeds))`` working matrix, so row m is column m
+    of one C-ordered array.  The matrix and the draw blocks are taken from
+    ``buffers``, so the result is a view into them that the next call with
+    the same buffers overwrites.
     """
-    values = np.asarray(values)
     seeds = np.asarray(row_seeds, dtype=_U64)
-    if values.ndim != 1 or values.size < 1:
-        raise ValueError(f"permutation length must be >= 1, got shape {values.shape}")
-    n, rows = values.size, seeds.size
-    if buffers is None:
-        buffers = ShuffleBuffers()
+    if n < 1:
+        raise ValueError(f"permutation length must be >= 1, got {n}")
+    n, rows, dtype = int(n), seeds.size, position_type(n)
     # column m is row m of the result, so step i swaps the contiguous row
     # work[i] with the elements at flat indices j*rows + m
-    work = buffers.take("work", (n, rows), values.dtype)
-    work[...] = values[:, None]
+    work = buffers.take("work", (n, rows), dtype)
+    work[...] = np.arange(n, dtype=dtype)[:, None]
     flat = work.reshape(-1)
-    held = np.empty(rows, dtype=values.dtype)
+    held = np.empty(rows, dtype=dtype)
     for top, targets in _swap_targets(seeds, n, buffers):
         for i, target in zip(range(top, 0, -1), targets):
             # the method skips np.take's dispatch, and "clip" its buffered

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +63,7 @@ class TimeSeries:
         """Deviations from the sample mean, and their sample variance (n-1
         denominator; 0.0 for a constant series): the arithmetic of
         :meth:`spread`, in data units."""
-        unit, variance, exponent = self._unit_spread
+        unit, variance, exponent = self._unit_spread()
         with np.errstate(over="ignore"):  # beyond the float range reads inf
             return times_power_of_two(unit, exponent), float(np.ldexp(variance, 2 * exponent))
 
@@ -78,17 +77,13 @@ class TimeSeries:
         bit of scale-free quantities.  Raises DegenerateSeriesError for a
         constant series, where every scaled intensity is 0/0.
         """
-        unit, variance, exponent = self._unit_spread
+        unit, variance, exponent = self._unit_spread()
         check_varies(variance)
         return unit, variance, exponent
 
-    @cached_property
     def _unit_spread(self) -> tuple[np.ndarray, float, int]:
-        # once per series: a test needs it for the observed MSI and the null
         units, variances, exponents = _unit_spread_rows(self.values[None])
-        unit = units[0]
-        unit.flags.writeable = False
-        return unit, float(variances[0]), int(exponents[0])
+        return units[0], float(variances[0]), int(exponents[0])
 
 
 def check_finite(values: np.ndarray) -> None:

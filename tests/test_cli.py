@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -5,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from permspec import load_table, read_report
+from permspec import PowerTable, cli, load_table, read_report, run_cell
 from permspec.cli import ingest_csv, main
 from permspec.errors import CsvParseError
 
@@ -76,6 +77,18 @@ class TestIngestCsv:
         path.write_text("a,b\n1,2\n3,4\n5,6\n")
         with pytest.raises(CsvParseError, match="'c'"):
             ingest_csv(path, column="c")
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        """Excel's "CSV UTF-8" starts with a byte-order mark, which must not
+        turn the first reading into a header and drop it."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5\n2.0\n3.5\n4.0\n")
+        assert ingest_csv(path).values.tolist() == [1.5, 2.0, 3.5, 4.0]
+
+    def test_byte_order_mark_before_a_header_name(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfx\n1.5\n2.0\n3.5\n")
+        assert ingest_csv(path, column="x").values.tolist() == [1.5, 2.0, 3.5]
 
 
 class TestTestCommand:
@@ -178,6 +191,38 @@ class TestPowerStudyCommand:
                      "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "c835e0a8d33a8a0cae6ae205aec208ccfa44a52bcf72672f00cd6ea3ad7b00e7"
+
+    def test_unwritable_out_exits_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a cell ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_grid", no_grid)
+        out = tmp_path / "missing" / "p.jsonl"
+        assert main(["power-study", "--out", str(out)]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("failure", [OSError, KeyboardInterrupt, TypeError])
+    def test_failed_run_leaves_an_earlier_results_file(self, tmp_path, monkeypatch, failure):
+        """A run that fails in the grid, is interrupted, or cannot write its
+        results keeps the file at --out as it was and leaves no partial file."""
+
+        def failing_grid(config, progress=None):
+            if failure is not TypeError:
+                raise failure()
+            cell = dataclasses.replace(run_cell("normal", 30, 0.0, 2, 10, 0.05, 1), rejections=object())
+            return PowerTable(config, (cell,))  # json cannot write the cell
+
+        out = tmp_path / "p.jsonl"
+        out.write_text("earlier results\n")
+        monkeypatch.setattr(cli, "run_grid", failing_grid)
+        if failure is OSError:
+            assert main(["power-study", "--out", str(out)]) == 1
+        else:
+            with pytest.raises(failure):
+                main(["power-study", "--out", str(out)])
+        assert out.read_text() == "earlier results\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["p.jsonl"]
 
 
 class TestSimulateCommand:

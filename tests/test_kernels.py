@@ -13,7 +13,7 @@ def make_case(n, m, seed=0):
     variance = float(np.dot(centered, centered)) / (n - 1)
     scale = kernels.msi_scale(n, variance)
     seeds = rng.substream_seeds(seed, m)
-    perms = rng.permutation_rows(np.arange(n), seeds)
+    perms = rng.permutation_rows(n, seeds, rng.ShuffleBuffers())
     return values, centered, perms, scale
 
 
@@ -22,7 +22,7 @@ def test_numpy_kernel_matches_per_row_analysis(n, m):
     """Each row of the batched kernel equals the direct-summation MSI of
     that permutation of the raw values."""
     values, centered, perms, scale = make_case(n, m, seed=n)
-    batch = kernels.null_msi(centered[None], perms, scale)[0]
+    batch = kernels.null_msi(centered[None], perms, scale, rng.ShuffleBuffers())[0]
     assert batch.shape == (m,)
     for row in range(0, m, max(1, m // 7)):
         expected = naive_msi(list(values[perms[row]]))
@@ -49,7 +49,8 @@ def test_observed_msi_is_the_identity_row_of_the_null(kind):
         centered, variance = TimeSeries(values).centered()
         identity = np.arange(n)[None]
         analysis = analyze_spectrum(values)
-        null = kernels.null_msi(centered[None], identity, kernels.msi_scale(n, variance))[0]
+        scale = kernels.msi_scale(n, variance)
+        null = kernels.null_msi(centered[None], identity, scale, rng.ShuffleBuffers())[0]
         assert analysis.msi == null[0], n
         assert 0.0 < analysis.peak_frequency <= 0.5, n
 
@@ -66,7 +67,8 @@ def test_observed_msis_are_the_identity_rows_of_one_batch(n):
     spreads = [ts.spread() for ts in series]
     units = np.stack([unit for unit, _, _ in spreads])
     scales = np.array([kernels.msi_scale(n, variance) for _, variance, _ in spreads])
-    batch = kernels.null_msi(units, np.broadcast_to(np.arange(n), units.shape), scales)[:, 0]
+    identity = np.broadcast_to(np.arange(n), units.shape)
+    batch = kernels.null_msi(units, identity, scales, rng.ShuffleBuffers())[:, 0]
     assert batch.tolist() == [analyze_spectrum(ts).msi for ts in series]
 
 
@@ -94,17 +96,17 @@ def test_tiles_change_no_bit(kind, monkeypatch):
     units = np.stack([unit for unit, _, _ in spreads])
     scales = np.array([kernels.msi_scale(50, variance) for _, variance, _ in spreads])
     seeds = rng.substream_seeds(9, 3 * 34)
-    positions = rng.permutation_rows(np.arange(50, dtype=np.uint8), seeds)
-    wide = rng.permutation_rows(np.arange(50, dtype=np.intp), seeds)
-    assert np.array_equal(wide, positions)
+    positions = rng.permutation_rows(50, seeds, rng.ShuffleBuffers())
+    assert positions.dtype == np.uint8
+    buffers = rng.ShuffleBuffers()
     tiles = record_tiles(monkeypatch)
-    whole = kernels.null_msi(units, wide, scales)
+    whole = kernels.null_msi(units, positions.astype(np.intp), scales, buffers)
     assert whole.shape == (3, 34)
     assert tiles == [102]
     for tile_bytes, rows in ((kernels.TILE_BYTES, 12), (7 * 50 * 8, 7), (1, 1)):
         tiles.clear()
         monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-        assert kernels.null_msi(units, positions, scales).tobytes() == whole.tobytes(), rows
+        assert kernels.null_msi(units, positions, scales, buffers).tobytes() == whole.tobytes(), rows
         assert tiles == [rows] * (102 // rows) + [102 % rows] * (102 % rows > 0)
 
 
@@ -125,13 +127,13 @@ def test_gathered_null_is_the_analysis_of_the_permuted_series(n, monkeypatch):
     units = np.stack([unit for unit, _, _ in spreads])
     scales = np.array([kernels.msi_scale(n, variance) for _, variance, _ in spreads])
     seeds = rng.substream_seeds(n, 4)
-    positions = rng.permutation_rows(np.arange(n, dtype=np.min_scalar_type(n - 1)), seeds)
-    wide = rng.permutation_rows(np.arange(n, dtype=np.intp), seeds)
+    positions = rng.permutation_rows(n, seeds, rng.ShuffleBuffers())
+    wide = positions.astype(np.intp)
     expected = [[analyze_spectrum(values[order]).msi for order in positions[2 * t : 2 * t + 2]]
                 for t, values in enumerate(series)]
     tiles = record_tiles(monkeypatch)
     for order, tile_bytes, rows in ((positions, 1, [1] * 4), (wide, 8 * n * 4, [4])):
         tiles.clear()
         monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-        assert kernels.null_msi(units, order, scales).tolist() == expected
+        assert kernels.null_msi(units, order, scales, rng.ShuffleBuffers()).tolist() == expected
         assert tiles == rows

@@ -42,14 +42,14 @@ class TestPlan:
             PermutationPlan(master_seed=-1, n_permutations=10)
 
     def test_permutation_rows_shape_and_determinism(self):
-        first = rng.permutation_rows(np.arange(9), rng.substream_seeds(3, 25))
-        second = rng.permutation_rows(np.arange(9), rng.substream_seeds(3, 25))
+        first = rng.permutation_rows(9, rng.substream_seeds(3, 25), rng.ShuffleBuffers())
+        second = rng.permutation_rows(9, rng.substream_seeds(3, 25), rng.ShuffleBuffers())
         assert first.shape == (25, 9)
         np.testing.assert_array_equal(first, second)
 
     def test_same_seed_same_permutation(self):
-        first = rng.permutation_rows(np.arange(12), [77])[0]
-        second = rng.permutation_rows(np.arange(12), [77])[0]
+        first = rng.permutation_rows(12, [77], rng.ShuffleBuffers())[0]
+        second = rng.permutation_rows(12, [77], rng.ShuffleBuffers())[0]
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(first, fisher_yates(12, 77))
 
@@ -72,6 +72,20 @@ class TestSimulateNull:
         null = simulate_null(ALTERNATING, PermutationPlan(master_seed=1, n_permutations=1))
         assert null.msi_values.shape == (1,)
 
+    def test_uint32_positions_beyond_65536(self):
+        """n=65,537 shuffles uint32 positions and gathers one-row tiles: each
+        simulated MSI is ``analyze_spectrum`` of the oracle's permutation of
+        the series, bit for bit.  The values are integers summing to 0, so
+        the centring of a permuted series is exact."""
+        n = 65_537
+        assert rng.position_type(n) == np.uint32
+        values = np.random.default_rng(n).integers(-40, 41, n).astype(float)
+        values[0] -= values.sum()
+        null = simulate_null(values, PermutationPlan(master_seed=11, n_permutations=2))
+        expected = [analyze_spectrum(values[fisher_yates(n, seed)]).msi
+                    for seed in rng.substream_seeds(11, 2).tolist()]
+        assert null.msi_values.tolist() == expected
+
     @pytest.mark.parametrize("kind", ["real", "counts"])
     def test_row_blocks_change_no_bit(self, kind, monkeypatch):
         """A budget of 10 rows of positions splits 103 permutations into ten
@@ -87,9 +101,9 @@ class TestSimulateNull:
         blocks = []
         shuffle = rng.permutation_rows
 
-        def recorded(values, seeds, buffers):
+        def recorded(n, seeds, buffers):
             blocks.append((len(seeds), buffers))
-            return shuffle(values, seeds, buffers)
+            return shuffle(n, seeds, buffers)
 
         monkeypatch.setattr(rng, "permutation_rows", recorded)
         monkeypatch.setattr(permutation, "ROW_BLOCK_BYTES", 10 * 50 * np.dtype(np.uint8).itemsize)
@@ -121,7 +135,6 @@ class TestSimulateNull:
         2 bytes each, and the traced peak stays under twice their 10 MB,
         where the float values alone would take 40 MB."""
         ts = TimeSeries(np.random.default_rng(2).standard_t(2, 5000))
-        ts.spread()  # the series' own arrays, computed once per series
         positions_bytes = 5000 * 1000 * np.dtype(np.uint16).itemsize
         tracemalloc.start()
         try:
@@ -247,7 +260,8 @@ class TestTies:
             values = np.round(generator.standard_normal(n), 1)
             centered, variance = TimeSeries(values).centered()
             perms = rearrange(np.arange(n))[None]
-            tied = kernels.null_msi(centered[None], perms, kernels.msi_scale(n, variance))[0]
+            scale = kernels.msi_scale(n, variance)
+            tied = kernels.null_msi(centered[None], perms, scale, rng.ShuffleBuffers())[0]
             null = NullDistribution(msi_values=tied, plan=PermutationPlan(0, 1))
             assert exceedance_count(analyze_spectrum(values).msi, null) == 1, n
 

@@ -25,9 +25,9 @@ from permspec import (
     run_grid,
     save_table,
 )
-from permspec.permutation import DECISION_BLOCK, DECISION_ROUND_BYTES, _position_type, _round_rows, decision_group
+from permspec.permutation import DECISION_BLOCK, DECISION_ROUND_BYTES, _round_rows, decision_group
 from permspec.power import render_table
-from permspec.rng import seed_chain
+from permspec.rng import position_type, seed_chain
 
 
 def tiny_config(**overrides):
@@ -170,7 +170,7 @@ class TestBatching:
         """Budget rounds so that a group holds ``tests`` tests.  A round
         takes all M rows where they pass ``DECISION_ROUND_BYTES``, up to
         ``ROW_BLOCK_BYTES``, so groups below M/25 tests need both budgets."""
-        budget = tests * min(DECISION_BLOCK, permutations) * n * _position_type(n).itemsize
+        budget = tests * min(DECISION_BLOCK, permutations) * n * position_type(n).itemsize
         monkeypatch.setattr(permutation, "DECISION_ROUND_BYTES", budget)
         monkeypatch.setattr(permutation, "ROW_BLOCK_BYTES", budget)
         assert decision_group(n, permutations) == tests

@@ -106,36 +106,49 @@ def test_substream_seeds_of_many_bases_from_any_offset():
         np.testing.assert_array_equal(row, rng.substream_seeds(base, 10)[6:])
 
 
+def shuffle(n, seeds):
+    """``permutation_rows`` in buffers of its own, so the result outlives
+    later calls."""
+    return rng.permutation_rows(n, seeds, rng.ShuffleBuffers())
+
+
 def test_permutation_rows_matches_single_permutation():
     seeds = rng.substream_seeds(7, 5)
-    matrix = rng.permutation_rows(np.arange(8), seeds)
+    matrix = shuffle(8, seeds)
     for m, seed in enumerate(seeds.tolist()):
-        single = rng.permutation_rows(np.arange(8), seeds[m : m + 1])[0]
+        single = shuffle(8, seeds[m : m + 1])[0]
         np.testing.assert_array_equal(matrix[m], single)
         np.testing.assert_array_equal(single, fisher_yates(8, seed))
 
 
 def test_permutations_are_valid():
     seeds = rng.substream_seeds(11, 100)
-    matrix = rng.permutation_rows(np.arange(13), seeds)
+    matrix = shuffle(13, seeds)
     expected = np.arange(13)
     for row in matrix:
         np.testing.assert_array_equal(np.sort(row), expected)
 
 
 def test_length_one_permutation():
-    np.testing.assert_array_equal(rng.permutation_rows(np.arange(1), [5]), [[0]])
+    np.testing.assert_array_equal(shuffle(1, [5]), [[0]])
 
 
 def test_invalid_length():
     with pytest.raises(ValueError):
-        rng.permutation_rows(np.arange(0), [5])
+        shuffle(0, [5])
+
+
+@pytest.mark.parametrize(
+    "n,dtype", [(256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)]
+)
+def test_position_type_is_the_narrowest_unsigned_type(n, dtype):
+    assert rng.position_type(n) == dtype
 
 
 def test_uniformity_n3_chi_square():
     """60,000 draws over the 6 orders of n=3: each lands within 1/6 +- 0.01."""
     draws = 60_000
-    matrix = rng.permutation_rows(np.arange(3), rng.substream_seeds(2024, draws))
+    matrix = shuffle(3, rng.substream_seeds(2024, draws))
     counts = Counter(map(tuple, matrix.tolist()))
     assert len(counts) == 6
     expected = draws / 6
@@ -152,18 +165,19 @@ def test_uniformity_n3_chi_square():
     ids=["default-block", "5-step-blocks", "1-step-blocks"],
 )
 def test_permutation_rows_follow_the_fisher_yates_oracle(n, draw_block_bytes, monkeypatch):
-    """Row m is ``values[fisher_yates(n, seeds[m])]`` for float, complex and
-    integer values, however the draws are blocked."""
+    """Row m is ``fisher_yates(n, seeds[m])`` in the narrowest position type,
+    however the draws are blocked, and float, complex and integer values
+    gathered from it are the oracle's permutations of them."""
     monkeypatch.setattr(rng, "DRAW_BLOCK_BYTES", draw_block_bytes)
     orders = np.array([fisher_yates(n, seed) for seed in ORACLE_SEEDS.tolist()])
+    rows = shuffle(n, ORACLE_SEEDS)
+    assert rows.dtype == rng.position_type(n) and rows.T.flags.c_contiguous
+    np.testing.assert_array_equal(rows, orders)
     generator = np.random.default_rng(n)
     real = generator.standard_normal(n)
     cases = [real, real + 1j * generator.standard_normal(n), generator.integers(-(2**62), 2**62, n)]
     for values in cases:
-        rows = rng.permutation_rows(values, ORACLE_SEEDS)
-        assert rows.dtype == values.dtype and rows.T.flags.c_contiguous
-        np.testing.assert_array_equal(rows, values[orders])
-    np.testing.assert_array_equal(rng.permutation_rows(np.arange(n), ORACLE_SEEDS), orders)
+        np.testing.assert_array_equal(values[rows], values[orders])
 
 
 def test_permutation_rows_follow_the_oracle_across_default_draw_blocks():
@@ -171,16 +185,15 @@ def test_permutation_rows_follow_the_oracle_across_default_draw_blocks():
     the last block is partial."""
     seeds = np.concatenate([ORACLE_SEEDS[:2], rng.substream_seeds(5, 1001)])
     assert (240 - 1) % (rng.DRAW_BLOCK_BYTES // (8 * seeds.size)) != 0
-    values = np.round(np.random.default_rng(3).standard_normal(240), 2)
-    rows = rng.permutation_rows(values, seeds)
+    rows = shuffle(240, seeds)
     for row, seed in zip(rows, seeds.tolist()):
-        np.testing.assert_array_equal(row, values[fisher_yates(240, seed)])
+        np.testing.assert_array_equal(row, fisher_yates(240, seed))
 
 
-# (n, rows, kind) of one call: a start vector of floats, of indices, or of
-# positions in the narrowest unsigned type, as the null shuffles them
+# (n, rows) of one call: lengths on both sides of 256, where the positions
+# widen from uint8 to uint16
 shuffle_calls = st.lists(
-    st.tuples(st.integers(1, 40), st.integers(1, 30), st.sampled_from(["float", "index", "positions"])),
+    st.tuples(st.one_of(st.integers(1, 40), st.sampled_from([256, 257])), st.integers(1, 30)),
     min_size=2,
     max_size=6,
 )
@@ -190,31 +203,23 @@ shuffle_calls = st.lists(
 @given(shuffle_calls, st.sampled_from([rng.DRAW_BLOCK_BYTES, 64, 1]), st.integers(0, 2**64 - 1))
 def test_held_buffers_carry_nothing_between_calls(calls, draw_block_bytes, seed):
     """One ShuffleBuffers through calls whose n and row count grow and
-    shrink, its arrays poisoned first (NaN floats, -1 indices, all-ones
-    positions and draws): every call shuffles in the held arrays, and its
-    rows equal a fresh call's bit for bit and follow the Fisher-Yates
-    oracle."""
+    shrink, its arrays poisoned first (all-ones positions and draws):
+    every call shuffles in the held arrays, and its rows equal a call in
+    fresh buffers bit for bit and follow the Fisher-Yates oracle."""
     buffers = rng.ShuffleBuffers()
-    largest = max(n * rows for n, rows, _ in calls)
-    held = {dtype: buffers.take("work", (largest,), dtype) for dtype in (np.float64, np.intp, np.uint8)}
-    held[np.float64].fill(np.nan)
-    held[np.intp].fill(-1)
-    held[np.uint8].fill(255)
+    largest = max(n * rows for n, rows in calls)
+    held = {dtype: buffers.take("work", (largest,), dtype) for dtype in (np.uint8, np.uint16)}
+    for array in held.values():
+        array.fill(np.iinfo(array.dtype).max)
     for name in ("draws", "draw scratch"):
         buffers.take(name, (largest,), np.uint64).fill(2**64 - 1)
-    generator = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "DRAW_BLOCK_BYTES", draw_block_bytes)
-        for call, (n, rows, kind) in enumerate(calls):
+        for call, (n, rows) in enumerate(calls):
             seeds = rng.substream_seeds(seed, rows, first=call)
-            values = {
-                "float": generator.standard_normal(n),
-                "index": np.arange(n, dtype=np.intp),
-                "positions": np.arange(n, dtype=np.min_scalar_type(n - 1)),
-            }[kind]
-            shuffled = rng.permutation_rows(values, seeds, buffers)
-            assert np.shares_memory(shuffled, held[values.dtype.type])
-            fresh = rng.permutation_rows(values, seeds)
+            shuffled = rng.permutation_rows(n, seeds, buffers)
+            assert np.shares_memory(shuffled, held[rng.position_type(n).type])
+            fresh = shuffle(n, seeds)
             assert shuffled.dtype == fresh.dtype and shuffled.tobytes() == fresh.tobytes()
             orders = np.array([fisher_yates(n, s) for s in seeds.tolist()])
-            np.testing.assert_array_equal(shuffled, values[orders])
+            np.testing.assert_array_equal(shuffled, orders)

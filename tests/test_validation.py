@@ -140,10 +140,10 @@ INTEGER_RULES = {
         },
     ),
 }
-NOT_INTEGERS = [1.5, 3.0, np.float64(3)]
+NOT_INTEGERS = [1.5, 3.0, np.float64(3), True]
 
 
-@pytest.mark.parametrize("value", NOT_INTEGERS, ids=["1.5", "3.0", "float64-3"])
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=["1.5", "3.0", "float64-3", "bool-True"])
 @pytest.mark.parametrize(
     "rule,name", [("seed", "master_seed"), ("permutations", "permutations"), ("replicates", "replicates")]
 )
@@ -157,8 +157,8 @@ def test_seeds_and_counts_must_be_integers(rule, name, value):
     [(rule, caller) for rule, (_, callers) in INTEGER_RULES.items() for caller in callers],
 )
 def test_each_caller_rejects_non_integers_with_one_message(rule, caller):
-    """3.0 used to run and be written to reports as a float; 1.5 failed
-    late or was truncated by the seed mixing."""
+    """3.0 used to run and be written to reports as a float, and True as a
+    boolean; 1.5 failed late or was truncated by the seed mixing."""
     owner, callers = INTEGER_RULES[rule]
     for value in NOT_INTEGERS:
         with pytest.raises(TypeError) as expected:
