@@ -205,6 +205,9 @@ def _cmd_power_study(args, config: StudyConfig) -> int:
     # The results go to a file beside --out, created before the first cell
     # so that an unwritable path fails before any work, and moved onto
     # --out once complete, so that a failed run leaves an earlier file as it was.
+    # No file can be moved onto a directory.
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out names a directory: {args.out}")
     partial = f"{args.out}.partial"
     handle = open(partial, "w", encoding="utf-8", newline="\n")
     try:

@@ -1,9 +1,9 @@
-"""The MSI arithmetic (transform, scale, maximum) of every spectrum.
+"""The MSI arithmetic (transform, peak modulus, scale) of every spectrum.
 
-The observed series and its permuted copies share it, so the identity
-permutation reproduces the observed MSI bit for bit.  ``null_msi``, a
-batched FFT over rows gathered from shuffled positions, is the inner
-loop of a test.
+``peak_moduli``, the one reduction of spectra to their peak moduli, and
+``msi_scale`` serve observed series and permuted copies alike, bit for
+bit.  ``null_msi``, a batched FFT over rows gathered from shuffled
+positions, is the inner loop of a test.
 """
 
 from __future__ import annotations
@@ -31,6 +31,14 @@ def transform(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.rfft(values, axis=-1, out=out)
 
 
+def peak_moduli(spectra: np.ndarray, moduli: np.ndarray | None = None, out=None):
+    """Each row's largest modulus over bins 1 .. n//2 of half spectra
+    (:func:`transform`): by conjugate symmetry, over every non-zero
+    frequency.  ``moduli``, a float array of the spectra's shape, receives
+    all moduli (bin 0 too), and ``out`` the peaks."""
+    return np.abs(spectra, out=moduli)[..., 1:].max(axis=-1, out=out)
+
+
 def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleBuffers):
     """MSIs of permuted copies of centred series, as a ``(tests, size)`` array.
 
@@ -38,20 +46,18 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
     has ``tests * size`` integer rows of length n: rows ``t*size ..
     (t+1)*size - 1`` are permutations of positions 0 .. n-1 of ``units[t]``
     (not checked), which ``scales[t]``, its :func:`msi_scale`, scores (one
-    scale for all tests may be a scalar).  Identity positions give the
-    observed MSIs.
+    scale for all tests may be a scalar).
 
     A tile of rows at a time is gathered into held float rows, each row's
     positions offset by ``t*n`` into the flattened units, and transformed
     like an observed series.  A tile takes at most ``TILE_BYTES`` of float
     rows, and at most as many bytes as all of ``positions``: 26 rows (1 MiB)
     at n=5000, M=1000, but 543 rows (128 KiB) of a first power-study round
-    of 4,350 rows at n=30.  The max over all non-zero frequencies equals the
-    max over the half spectrum by conjugate symmetry.  Each row's transform
-    is independent of its tile, so the tiling changes no bit.  The tile
-    and its spectrum are taken from ``buffers``, and the index lives in
-    the spectrum's memory, as ``take`` has consumed it before the
-    transform writes there.
+    of 4,350 rows at n=30.  Each tile's peaks are :func:`peak_moduli` of
+    its spectrum.  Each row's transform is independent of its tile, so the
+    tiling changes no bit.  The tile and its spectrum are taken from
+    ``buffers``, and the index lives in the spectrum's memory, as ``take``
+    has consumed it before the transform writes there.
     """
     tests, n = units.shape
     rows = len(positions)
@@ -76,7 +82,7 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
         # the moduli take the place of the gathered rows, which the transform
         # no longer needs: a contiguous output, which numpy fills unbuffered
         moduli = tile.reshape(-1)[: spectrum.size].reshape(spectrum.shape)
-        np.abs(spectrum, out=moduli)[:, 1:].max(axis=1, out=peaks[low:high])
+        peak_moduli(spectrum, moduli, out=peaks[low:high])
     return peaks.reshape(tests, size) * np.reshape(scales, (-1, 1))
 
 

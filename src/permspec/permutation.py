@@ -193,12 +193,11 @@ def count_rejections(
     their rounds; a round's shuffled positions fill at most the
     ``DECISION_ROUND_BYTES`` that :func:`decision_group` sizes a group by.
     Hence the simulations a test draws are the first ones of its
-    :func:`simulate_null`, bit for bit.
+    :func:`simulate_null`, bit for bit.  The observed MSIs are the scaled
+    :func:`kernels.peak_moduli` of one transform of ``units``.
     """
     check_permutations(permutations)
-    # identity positions give the observed MSIs
-    identity = np.broadcast_to(np.arange(units.shape[1]), units.shape)
-    thresholds = _tie_threshold(kernels.null_msi(units, identity, scales, buffers)[:, 0])
+    thresholds = _tie_threshold(kernels.peak_moduli(kernels.transform(units)) * scales)
     exceedances = np.zeros(len(units), dtype=np.intp)
     rejections = done = 0
     while exceedances.size:

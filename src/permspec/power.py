@@ -25,7 +25,7 @@ from .permutation import (
     decision_group,
     wilson_interval,
 )
-from .report import from_record, to_record
+from .report import field_map, from_record, to_record
 from .rng import ShuffleBuffers, check_integer, check_seed, seed_chain
 from .series import spread_rows
 from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
@@ -231,31 +231,12 @@ def run_grid(config: StudyConfig, progress=None) -> PowerTable:
 
 POWER_SCHEMA = "permspec-power/1"
 
-# file key -> attribute maps: the one field list that both writes and reads
-# the header line and the cell records
-_HEADER_FIELDS = {
-    "master_seed": "master_seed",
-    "distributions": "distributions",
-    "n_values": "n_values",
-    "lambda_values": "snr_values",
-    "K": "replicates",
-    "M": "permutations",
-    "alpha": "alpha",
-    "confidence": "confidence",
-}
-_CELL_FIELDS = {
-    "distribution": "distribution",
-    "n": "n",
-    "lambda": "snr",
-    "K": "replicates",
-    "M": "permutations",
-    "alpha": "alpha",
-    "rejections": "rejections",
-    "power": "power",
-    "wilson_low": "wilson_low",
-    "wilson_high": "wilson_high",
-    "cell_seed": "cell_seed",
-}
+# the header line and the cell records, each key named as its field
+# unless renamed here
+_HEADER_FIELDS = field_map(
+    StudyConfig, {"snr_values": "lambda_values", "replicates": "K", "permutations": "M"}
+)
+_CELL_FIELDS = field_map(PowerCell, {"snr": "lambda", "replicates": "K", "permutations": "M"})
 
 
 def render_table(table: PowerTable) -> str:

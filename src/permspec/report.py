@@ -8,6 +8,7 @@ fields round-trip exactly through repr.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,20 +17,15 @@ from .permutation import TestResult
 
 REPORT_SCHEMA = "permspec-test-report/1"
 
-# report key -> TestResult attribute: the one field list that both writes
-# and reads the format
-_FIELDS = {
-    "observed_msi": "observed_msi",
-    "peak_frequency": "peak_frequency",
-    "p_value": "p_value",
-    "wilson_low": "wilson_low",
-    "wilson_high": "wilson_high",
-    "exceedances": "exceedances",
-    "permutations": "n_permutations",
-    "master_seed": "master_seed",
-    "n": "n",
-    "confidence": "confidence",
-}
+
+def field_map(cls, renames: dict[str, str]) -> dict[str, str]:
+    """The file key -> attribute map of a dataclass: every field of ``cls``,
+    under ``renames[name]`` where the file names it otherwise.  The one
+    field list that both writes and reads a format."""
+    return {renames.get(field.name, field.name): field.name for field in dataclasses.fields(cls)}
+
+
+_FIELDS = field_map(TestResult, {"n_permutations": "permutations"})
 
 
 def to_record(obj, fields: dict[str, str]) -> dict:

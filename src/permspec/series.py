@@ -7,12 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeriesError
+from .rng import check_integer
 
 MIN_LENGTH = 3  # shortest series with a usable non-zero frequency and variance
 
 
 def check_length(n: int) -> None:
-    """Reject a series length below MIN_LENGTH."""
+    """Reject a series length that is not an integer (TypeError) or is
+    below MIN_LENGTH."""
+    check_integer("n", n)
     if n < MIN_LENGTH:
         raise ValueError(
             f"series needs at least {MIN_LENGTH} observations (n >= {MIN_LENGTH}), got {n}"

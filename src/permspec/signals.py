@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import check_seed, philox_generators
+from .rng import check_integer, check_seed, philox_generators
 from .series import TimeSeries, check_length
 
 DISTRIBUTIONS = ("normal", "t2")
@@ -71,6 +71,7 @@ def gen_noise(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
 def gen_sinusoid(n: int, frequency, amplitude: float = 1.0) -> np.ndarray:
     """``amplitude * cos(2*pi*frequency*t)`` for t = 0 .. n-1; for an array
     of frequencies, one row per frequency."""
+    check_integer("n", n)
     frequency = np.asarray(frequency, dtype=np.float64)
     if not np.all((0.0 < frequency) & (frequency < 0.5)):
         raise ValueError(

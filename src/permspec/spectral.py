@@ -28,13 +28,15 @@ def dft_at(series, delta: float) -> complex:
 
     ``(1/sqrt(n)) * sum_t (y_t - mean) * exp(-2i*pi*delta*(t-1))``,
     periodic in ``delta`` with period 1.  At ``delta = 0`` the centering
-    forces an exact zero.
+    forces an exact zero.  The sum runs over the unit deviations
+    (:meth:`TimeSeries.spread`), so it holds at any finite magnitude.
     """
     ts = as_time_series(series)
-    centered = center(ts)
-    t = np.arange(ts.n)
-    phases = np.exp(-2j * np.pi * delta * t)
-    return complex(np.sum(centered * phases) / math.sqrt(ts.n))
+    unit, _, exponent = ts._unit_spread()  # zeros for a constant series
+    phases = np.exp(-2j * np.pi * delta * np.arange(ts.n))
+    total = np.sum(unit * phases, keepdims=True) / math.sqrt(ts.n)
+    with np.errstate(over="ignore"):  # beyond the float range reads inf
+        return complex(times_power_of_two(total, exponent)[0])
 
 
 @dataclass(frozen=True)
@@ -75,29 +77,33 @@ class SpectrumAnalysis:
 def analyze_spectrum(series) -> SpectrumAnalysis:
     """Full spectrum of one series: DFT, intensities, and MSI.
 
-    The scaled intensities and the MSI are the permutation null's kernel
-    arithmetic; the bins above 1/2 are the exact conjugates of those
-    below.  Raises DegenerateSeriesError for a constant series, where the
-    scaled intensity is 0/0.
+    The MSI is the null's: :func:`kernels.peak_moduli` times the scale,
+    peaking at the first such bin; the bins above 1/2 are the exact
+    conjugates of those below.  Raises DegenerateSeriesError for a
+    constant series, where the scaled intensity is 0/0.
     """
     ts = as_time_series(series)
     n = ts.n
     unit, unit_variance, exponent = ts.spread()
     raw = kernels.transform(unit)
     raw[0] = 0.0  # exact: centering kills the zero frequency analytically
-    raw = np.concatenate([raw, raw[(n + 1) // 2 - 1 : 0 : -1].conj()])
-    scaled = np.abs(raw) * kernels.msi_scale(n, unit_variance)
+    moduli = np.empty(raw.shape)
+    scale = kernels.msi_scale(n, unit_variance)
+    msi = float(kernels.peak_moduli(raw, moduli) * scale)
     with np.errstate(over="ignore"):  # beyond the float range reads inf
         dft = times_power_of_two(raw / math.sqrt(n), exponent)
         sample_variance = float(np.ldexp(unit_variance, 2 * exponent))
-    peak_index = 1 + int(np.argmax(scaled[1:]))
+    mirror = slice((n + 1) // 2 - 1, 0, -1)
+    dft, intensity, scaled = (
+        np.concatenate([half, half[mirror].conj()]) for half in (dft, np.abs(dft), moduli * scale)
+    )
     analysis = SpectrumAnalysis(
         dft=dft,
-        intensity=np.abs(dft),
+        intensity=intensity,
         scaled_intensity=scaled,
         sample_variance=sample_variance,
-        msi=float(scaled[peak_index]),
-        peak_index=peak_index,
+        msi=msi,
+        peak_index=1 + int(np.argmax(moduli[1:])),
     )
     for arr in (analysis.dft, analysis.intensity, analysis.scaled_intensity):
         arr.flags.writeable = False

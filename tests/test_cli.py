@@ -192,15 +192,27 @@ class TestPowerStudyCommand:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "c835e0a8d33a8a0cae6ae205aec208ccfa44a52bcf72672f00cd6ea3ad7b00e7"
 
-    def test_unwritable_out_exits_before_any_cell(self, tmp_path, monkeypatch, capsys):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("a cell ran before --out was opened")
+    @staticmethod
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a cell ran before --out was checked")
 
-        monkeypatch.setattr(cli, "run_grid", no_grid)
+    def test_unwritable_out_exits_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_grid", self.no_grid)
         out = tmp_path / "missing" / "p.jsonl"
         assert main(["power-study", "--out", str(out)]) == 1
         assert "No such file or directory" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
+
+    def test_out_naming_a_directory_exits_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        """No results file can be moved onto a directory, so one at --out
+        is rejected before the grid runs, and nothing is left behind."""
+        monkeypatch.setattr(cli, "run_grid", self.no_grid)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert main(["power-study", "--out", str(out)]) == 1
+        assert "names a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("failure", [OSError, KeyboardInterrupt, TypeError])
     def test_failed_run_leaves_an_earlier_results_file(self, tmp_path, monkeypatch, failure):

@@ -59,7 +59,8 @@ def test_observed_msi_is_the_identity_row_of_the_null(kind):
 def test_observed_msis_are_the_identity_rows_of_one_batch(n):
     """One null_msi call over the identity positions of 50 different series,
     normal and t2, with one scale per series, gives each series' observed
-    MSI bit for bit (the power study scores a group of replicates this way)."""
+    MSI bit for bit, and so does the peak of one transform of all 50 (the
+    power study scores a group of replicates this way)."""
     series = [
         random_composite(("normal", "t2")[seed % 2], n, 0.25 * (seed % 5), seed).series
         for seed in range(50)
@@ -70,6 +71,8 @@ def test_observed_msis_are_the_identity_rows_of_one_batch(n):
     identity = np.broadcast_to(np.arange(n), units.shape)
     batch = kernels.null_msi(units, identity, scales, rng.ShuffleBuffers())[:, 0]
     assert batch.tolist() == [analyze_spectrum(ts).msi for ts in series]
+    observed = kernels.peak_moduli(kernels.transform(units)) * scales
+    assert observed.tolist() == batch.tolist()
 
 
 def record_tiles(monkeypatch) -> list[int]:

@@ -22,6 +22,7 @@ from permspec import (
 )
 from permspec import kernels, permutation, rng
 from permspec.rng import philox_generator
+from permspec.series import spread_rows
 from permspec.spectral import analyze_spectrum
 
 from oracles import exhaustive_null_msi, fisher_yates, wilson_interval_mp
@@ -264,6 +265,37 @@ class TestTies:
             tied = kernels.null_msi(centered[None], perms, scale, rng.ShuffleBuffers())[0]
             null = NullDistribution(msi_values=tied, plan=PermutationPlan(0, 1))
             assert exceedance_count(analyze_spectrum(values).msi, null) == 1, n
+
+    TIED = {
+        "rounded": lambda generator, shape: np.round(generator.standard_normal(shape), 1),
+        "poisson": lambda generator, shape: generator.poisson(1.0, shape).astype(float),
+        "binary": lambda generator, shape: generator.integers(0, 2, shape).astype(float),
+    }
+
+    @pytest.mark.parametrize("kind", TIED)
+    def test_early_decisions_on_tied_data(self, kind):
+        """count_rejections scores its observed MSIs by one transform of the
+        units, not through the null's gather.  On tied data, where the tie
+        threshold decides each exceedance, its count is still that of
+        run_test on each series, at a strict and a loose level."""
+        generator = np.random.default_rng(17)
+        counts = []
+        for n in (12, 30, 61):
+            values = self.TIED[kind](generator, (40, n))
+            values = values[values.min(axis=1) < values.max(axis=1)]  # a constant row has no test
+            units, variances, _ = spread_rows(values)
+            seeds = np.arange(len(values), dtype=np.uint64) + np.uint64(1000 * n)
+            for m, alpha in ((60, 0.05), (99, 0.3)):
+                count = permutation.count_rejections(
+                    units, kernels.msi_scale(n, variances), seeds, m, alpha, rng.ShuffleBuffers()
+                )
+                expected = sum(
+                    run_test(row, PermutationPlan(int(seed), m)).p_value <= alpha
+                    for row, seed in zip(values, seeds)
+                )
+                assert count == expected, (n, m, alpha)
+                counts.append(count)
+        assert 0 < sum(counts) < 240  # decisions both ways
 
     def test_binary_series_null_size(self):
         """On exchangeable 0/1 data, where exact ties are everywhere, the

@@ -9,6 +9,8 @@ from permspec import (
     PermutationPlan,
     analyze_spectrum,
     autocorrelation_profile,
+    dft_at,
+    fisher_g,
     run_test,
     spectral_identity,
 )
@@ -74,3 +76,19 @@ def test_second_order_statistics_at_extreme_magnitudes(factor):
     assert spectral_identity(values * factor, peak) == pytest.approx(
         spectral_identity(values, peak), rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "values", [[1.7, -1.7, 1.7, 0.5], [1.7, -1.7, 1.7, 0.5, -0.9, 1.2]], ids=["n4", "n6"]
+)
+def test_fourier_sums_whose_deviations_leave_the_float_range(values):
+    """Deviations of these finite values from their mean pass the largest
+    float, but their DFT at 1/4 and Fisher's g do not: both are those of a
+    copy scaled down by 1e300, scaled back."""
+    values = np.array(values) * 1e308
+    with np.errstate(over="ignore"):
+        assert np.isinf(values - values.mean()).any()
+    small = values * 1e-300
+    expected = dft_at(small, 0.25) * 1e300
+    assert abs(dft_at(values, 0.25) - expected) <= 1e-12 * abs(expected)
+    assert fisher_g(values) == pytest.approx(fisher_g(small), rel=1e-12)

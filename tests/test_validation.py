@@ -11,6 +11,7 @@ from permspec import (
     analyze_spectrum,
     autocorrelation_profile,
     fisher_g,
+    gen_sinusoid,
     random_composite,
     run_cell,
     run_test,
@@ -115,6 +116,15 @@ def test_length_message_names_the_simulate_flag(tmp_path):
 # the same rules for values that are not integers: rule -> (the check
 # that owns it, every public caller that must reach it), each given the value
 INTEGER_RULES = {
+    "length": (
+        check_length,
+        {
+            "NoiseSpec": lambda value: NoiseSpec("normal", value),
+            "StudyConfig": lambda value: StudyConfig(n_values=(value,)),
+            "run_cell": lambda value: run_cell("normal", value, 0.0, 5, 20, 0.05, 1),
+            "random_composite": lambda value: random_composite("normal", value, 0.0, 1),
+        },
+    ),
     "seed": (
         check_seed,
         {
@@ -145,7 +155,8 @@ NOT_INTEGERS = [1.5, 3.0, np.float64(3), True]
 
 @pytest.mark.parametrize("value", NOT_INTEGERS, ids=["1.5", "3.0", "float64-3", "bool-True"])
 @pytest.mark.parametrize(
-    "rule,name", [("seed", "master_seed"), ("permutations", "permutations"), ("replicates", "replicates")]
+    "rule,name",
+    [("length", "n"), ("seed", "master_seed"), ("permutations", "permutations"), ("replicates", "replicates")],
 )
 def test_seeds_and_counts_must_be_integers(rule, name, value):
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
@@ -158,7 +169,8 @@ def test_seeds_and_counts_must_be_integers(rule, name, value):
 )
 def test_each_caller_rejects_non_integers_with_one_message(rule, caller):
     """3.0 used to run and be written to reports as a float, and True as a
-    boolean; 1.5 failed late or was truncated by the seed mixing."""
+    boolean; 1.5 failed late or was truncated by the seed mixing.  A length
+    of 30.0 passed the configuration and failed inside numpy mid-grid."""
     owner, callers = INTEGER_RULES[rule]
     for value in NOT_INTEGERS:
         with pytest.raises(TypeError) as expected:
@@ -168,8 +180,15 @@ def test_each_caller_rejects_non_integers_with_one_message(rule, caller):
         assert str(raised.value) == str(expected.value)
 
 
+def test_sinusoid_length_must_be_an_integer():
+    """A length of 30.5 used to give 31 samples."""
+    with pytest.raises(TypeError, match=r"^n must be an integer, got 30\.5$"):
+        gen_sinusoid(30.5, 0.1)
+
+
 @pytest.mark.parametrize("integer", [int, np.int32, np.int64, np.uint64])
 def test_python_and_numpy_integers_pass(integer):
+    check_length(integer(7))
     check_seed(integer(7))
     check_permutations(integer(7))
     check_replicates(integer(7))
