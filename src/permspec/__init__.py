@@ -55,6 +55,7 @@ from .spectral import (
     chebyshev_t,
     dft_at,
     fisher_g,
+    fisher_p_value,
     spectral_identity,
     unitary_dft_matrix,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "empirical_cdf",
     "exceedance_count",
     "fisher_g",
+    "fisher_p_value",
     "full_scale_config",
     "gen_noise",
     "gen_sinusoid",

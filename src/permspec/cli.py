@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import signal
 import sys
 import time
 from datetime import timedelta
@@ -180,6 +181,12 @@ def _study_config(args) -> StudyConfig:
     return factory(master_seed=args.seed, **overrides)
 
 
+def _exit_on_sigterm(signum, frame):
+    """Exit with the shell's status for a SIGTERM death, 143, through the
+    ``except`` and ``finally`` blocks on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def _cmd_power_study(args, config: StudyConfig) -> int:
     # The ETA weighs each test by its length n, which its cost roughly
     # follows, and assumes the rest of the grid runs at the rate so far.
@@ -208,16 +215,21 @@ def _cmd_power_study(args, config: StudyConfig) -> int:
     # No file can be moved onto a directory.
     if os.path.isdir(args.out):
         raise IsADirectoryError(f"--out names a directory: {args.out}")
+    # SIGTERM, as from `timeout` or a batch system, exits through the same cleanup.
     partial = f"{args.out}.partial"
-    handle = open(partial, "w", encoding="utf-8", newline="\n")
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
-        with handle:
-            table = run_grid(config, progress=progress)
-            handle.write(render_table(table))
-        os.replace(partial, args.out)
-    except BaseException:
-        os.remove(partial)
-        raise
+        handle = open(partial, "w", encoding="utf-8", newline="\n")
+        try:
+            with handle:
+                table = run_grid(config, progress=progress)
+                handle.write(render_table(table))
+            os.replace(partial, args.out)
+        except BaseException:
+            os.remove(partial)
+            raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     sys.stdout.write(f"wrote {len(table.cells)} cells to {args.out}\n")
     return 0
 

@@ -69,7 +69,7 @@ class NullDistribution:
     plan: PermutationPlan
 
     def __post_init__(self):
-        values = np.asarray(self.msi_values, dtype=np.float64)
+        values = np.array(self.msi_values, dtype=np.float64)  # a copy: the caller's stays writeable
         if values.shape != (self.plan.n_permutations,):
             raise ValueError("one MSI value per planned simulation required")
         values.flags.writeable = False
@@ -230,6 +230,8 @@ def wilson_interval(
     successes: int, trials: int, confidence: float = 0.95
 ) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, clamped to [0, 1]."""
+    rng.check_integer("successes", successes)
+    rng.check_integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:

@@ -112,6 +112,19 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}".rstrip("0").rstrip(".")
 
 
+def _tag(name: str, body: str | None = None, **attributes) -> str:
+    """One SVG element, its attributes in the order given: ``class_``,
+    ``text_anchor`` and ``font_size`` are written ``class``, ``text-anchor``
+    and ``font-size``, a float with two decimals and any other value with
+    ``str``.  Without a body the element is self-closing."""
+    written = [name]
+    for key, value in attributes.items():
+        text = f"{value:.2f}" if isinstance(value, float) else value
+        written.append(f'{key.rstrip("_").replace("_", "-")}="{text}"')
+    opening = " ".join(written)
+    return f"<{opening}/>" if body is None else f"<{opening}>{body}</{name}>"
+
+
 def _axis_ticks(top: float, count: int = 5) -> list[float]:
     return [top * i / count for i in range(count + 1)]
 
@@ -133,99 +146,66 @@ def render_plot_svg(model: PlotModel) -> str:
         model.quartiles[2],
     )
 
-    def y_px(value: float) -> float:
+    # pixel coordinates of a value or of an array of values, elementwise
+    def y_px(value):
         return plot_bottom - (value / y_top) * plot_height
 
-    def fx_px(freq: float) -> float:
+    def fx_px(freq):
         return left_x + (freq / 0.5) * left_width
 
+    middle = (plot_top + plot_bottom) / 2
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{left_x}" y="22" font-size="15">Permutation spectrum test'
-        f' (p = {model.p_value:.4g})</text>',
+        _tag("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        _tag("text", f"Permutation spectrum test (p = {model.p_value:.4g})",
+             x=left_x, y=22, font_size=15),
     ]
 
     # shared vertical axis with ticks on the left panel
     for tick in _axis_ticks(y_top):
         ty = y_px(tick)
-        parts.append(
-            f'<line x1="{left_x - 4}" y1="{ty:.2f}" x2="{left_x}" y2="{ty:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{left_x - 8}" y="{ty + 4:.2f}" text-anchor="end">{_fmt(tick)}</text>'
-        )
-    parts.append(
-        f'<line x1="{left_x}" y1="{plot_top}" x2="{left_x}" y2="{plot_bottom}" stroke="black"/>'
-    )
-    parts.append(
-        f'<text x="14" y="{(plot_top + plot_bottom) / 2:.2f}" transform="rotate(-90 14 '
-        f'{(plot_top + plot_bottom) / 2:.2f})" text-anchor="middle">scaled intensity</text>'
-    )
+        parts.append(_tag("line", x1=left_x - 4, y1=ty, x2=left_x, y2=ty, stroke="black"))
+        parts.append(_tag("text", _fmt(tick), x=left_x - 8, y=ty + 4, text_anchor="end"))
+    parts.append(_tag("line", x1=left_x, y1=plot_top, x2=left_x, y2=plot_bottom, stroke="black"))
+    parts.append(_tag("text", "scaled intensity", x=14, y=middle,
+                      transform=f"rotate(-90 14 {middle:.2f})", text_anchor="middle"))
 
     # left panel: intensity bars over the Nyquist range
     bar_width = max(1.0, 0.8 * left_width / len(model.frequencies))
-    for freq, height in zip(model.frequencies, model.bar_heights):
-        x = fx_px(float(freq))
-        top = y_px(float(height))
-        parts.append(
-            f'<rect class="intensity-bar" x="{x - bar_width / 2:.2f}" y="{top:.2f}" '
-            f'width="{bar_width:.2f}" height="{plot_bottom - top:.2f}" fill="{_BAR_COLOR}"/>'
-        )
-    parts.append(
-        f'<line x1="{left_x}" y1="{plot_bottom}" x2="{left_x + left_width}" '
-        f'y2="{plot_bottom}" stroke="black"/>'
-    )
+    for x, top in zip(fx_px(model.frequencies).tolist(), y_px(model.bar_heights).tolist()):
+        parts.append(_tag("rect", class_="intensity-bar", x=x - bar_width / 2, y=top,
+                          width=bar_width, height=plot_bottom - top, fill=_BAR_COLOR))
+    parts.append(_tag("line", x1=left_x, y1=plot_bottom, x2=left_x + left_width,
+                      y2=plot_bottom, stroke="black"))
     for tick in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
         tx = fx_px(tick)
-        parts.append(
-            f'<line x1="{tx:.2f}" y1="{plot_bottom}" x2="{tx:.2f}" y2="{plot_bottom + 4}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{tx:.2f}" y="{plot_bottom + 18}" text-anchor="middle">{_fmt(tick)}</text>'
-        )
-    parts.append(
-        f'<text x="{left_x + left_width / 2:.2f}" y="{_HEIGHT - 8}" text-anchor="middle">frequency</text>'
-    )
+        parts.append(_tag("line", x1=tx, y1=plot_bottom, x2=tx, y2=plot_bottom + 4, stroke="black"))
+        parts.append(_tag("text", _fmt(tick), x=tx, y=plot_bottom + 18, text_anchor="middle"))
+    parts.append(_tag("text", "frequency", x=left_x + left_width / 2, y=_HEIGHT - 8,
+                      text_anchor="middle"))
 
     # right panel: mirrored null density with quartile lines
     centre = right_x + right_width / 2
     half_width = 0.45 * right_width
     peak = float(model.density_values.max())
     scale = half_width / peak if peak > 0 else 0.0
-    right_side = [
-        f"{centre + v * scale:.2f},{y_px(float(g)):.2f}"
-        for g, v in zip(model.density_grid, model.density_values)
-    ]
-    left_side = [
-        f"{centre - v * scale:.2f},{y_px(float(g)):.2f}"
-        for g, v in zip(model.density_grid[::-1], model.density_values[::-1])
-    ]
-    parts.append(
-        f'<polygon class="null-density" points="{" ".join(right_side + left_side)}" '
-        f'fill="{_VIOLIN_COLOR}" stroke="none"/>'
-    )
+    offsets = model.density_values * scale
+    xs = (centre + offsets).tolist() + (centre - offsets)[::-1].tolist()
+    ys = y_px(model.density_grid).tolist()
+    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys + ys[::-1]))
+    parts.append(_tag("polygon", class_="null-density", points=points, fill=_VIOLIN_COLOR,
+                      stroke="none"))
     for quartile in model.quartiles:
         qy = y_px(quartile)
-        parts.append(
-            f'<line class="quartile" x1="{centre - half_width:.2f}" y1="{qy:.2f}" '
-            f'x2="{centre + half_width:.2f}" y2="{qy:.2f}" stroke="{_QUARTILE_COLOR}"/>'
-        )
-    parts.append(
-        f'<text x="{centre:.2f}" y="{_HEIGHT - 8}" text-anchor="middle">null MSI density</text>'
-    )
+        parts.append(_tag("line", class_="quartile", x1=centre - half_width, y1=qy,
+                          x2=centre + half_width, y2=qy, stroke=_QUARTILE_COLOR))
+    parts.append(_tag("text", "null MSI density", x=centre, y=_HEIGHT - 8, text_anchor="middle"))
 
     # observed MSI marker on both panels
     my = y_px(model.observed_msi)
-    parts.append(
-        f'<circle class="observed-msi" cx="{fx_px(model.peak_frequency):.2f}" cy="{my:.2f}" '
-        f'r="4" fill="{_MARKER_COLOR}"/>'
-    )
-    parts.append(
-        f'<circle class="observed-msi" cx="{centre:.2f}" cy="{my:.2f}" r="4" '
-        f'fill="{_MARKER_COLOR}"/>'
-    )
+    for cx in (fx_px(model.peak_frequency), centre):
+        parts.append(_tag("circle", class_="observed-msi", cx=cx, cy=my, r=4, fill=_MARKER_COLOR))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

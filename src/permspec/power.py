@@ -95,9 +95,14 @@ class StudyConfig:
         check_seed(self.master_seed)
 
     def cell_seed(self, distribution: str, n: int, snr: float) -> int:
-        snr_index = self.snr_values.index(snr)
+        if (
+            distribution not in self.distributions
+            or n not in self.n_values
+            or snr not in self.snr_values
+        ):
+            raise ValueError(f"no cell ({distribution!r}, n={n}, lambda={snr}) in the grid")
         return seed_chain(
-            self.master_seed, _DISTRIBUTION_IDS[distribution], n, snr_index
+            self.master_seed, _DISTRIBUTION_IDS[distribution], n, self.snr_values.index(snr)
         )
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateSeriesError
+from .rng import check_integer
 from .series import as_time_series, times_power_of_two
 
 
@@ -130,6 +131,34 @@ def fisher_g(series) -> float:
             "no variation below the Nyquist frequency: Fisher's g is 0/0"
         )
     return float(ordinates.max() / total)
+
+
+def fisher_p_value(g: float, m: int) -> float:
+    """P(G >= g) for Fisher's g of m independent exponential ordinates, the
+    law of :func:`fisher_g` for Gaussian white noise (Fisher 1929):
+    the sum over j = 1 .. floor(1/g) of (-1)**(j-1) C(m, j) (1 - j g)**(m-1).
+
+    A float g is exactly p / 2**e, so each term is the integer
+    C(m, j) (2**e - j p)**(m-1) over 2**(e (m-1)).  The terms are summed as
+    Python integers and divided once, and integer true division rounds
+    correctly: the result is the exact tail rounded to the nearest float,
+    with no cancellation however large C(m, j) grows.  The cost grows with
+    m and with the number of terms: at most 3 ms at m=119, but at m=2499
+    from 0.05 s at g=0.05 to about 9 s near g=1/m.
+    """
+    check_integer("m", m)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not 0.0 <= g <= 1.0:
+        raise ValueError(f"g must be in [0, 1], got {g}")
+    m = int(m)  # numpy integers would wrap in the powers below
+    p, q = float(g).as_integer_ratio()
+    if p * m <= q:  # g <= 1/m, the smallest g can be
+        return 1.0
+    total = sum(
+        (-1) ** (j - 1) * math.comb(m, j) * (q - j * p) ** (m - 1) for j in range(1, q // p + 1)
+    )
+    return total / q ** (m - 1)
 
 
 def autocovariance(series, lag: int) -> float:

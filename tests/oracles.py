@@ -80,6 +80,19 @@ def naive_fisher_g(values):
     return max(ordinates) / sum(ordinates)
 
 
+def fisher_tail_mp(g, m, digits=80):
+    """Fisher's (1929) P(G >= g) for m exponential ordinates, summed in
+    mpmath at ``digits`` significant digits, to the nearest float."""
+    with mpmath.workdps(digits):
+        g = mpmath.mpf(g)
+        terms = [
+            (-1) ** (j - 1) * mpmath.binomial(m, j) * (1 - j * g) ** (m - 1)
+            for j in range(1, m + 1)
+            if j * g < 1
+        ]
+        return float(mpmath.fsum(terms)) if m * g > 1 else 1.0
+
+
 def exhaustive_null_msi(values):
     """MSI of every one of the n! reorderings of ``values``."""
     return [naive_msi(perm) for perm in itertools.permutations(values)]

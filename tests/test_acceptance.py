@@ -19,11 +19,15 @@ from permspec import (
     StudyConfig,
     analyze_spectrum,
     dft_at,
+    fisher_g,
+    fisher_p_value,
     gen_noise,
+    run_cell,
     run_grid,
     run_test,
     simulate_null,
     spectral_identity,
+    wilson_interval,
 )
 from permspec.cli import main
 from permspec.power import render_table
@@ -181,6 +185,47 @@ def test_null_p_values_uniform_normal():
 def test_null_p_values_uniform_t2():
     p = _uniformity_check("t2", tag=2)
     report("null p-value uniformity (t2 noise)", p > 0.01, f"KS p = {p:.3f}")
+
+
+def _fisher_p_values(distribution: str, n: int, tag: int, tests: int = 2000) -> np.ndarray:
+    """Fisher's exact p-value of g for ``tests`` noise series of length n."""
+    spec = NoiseSpec(distribution, n)
+    return np.array([
+        fisher_p_value(fisher_g(gen_noise(spec, philox_generator(tag, i, 0))), (n - 1) // 2)
+        for i in range(tests)
+    ])
+
+
+def test_fisher_p_values_uniform_normal():
+    """Under Gaussian white noise g follows Fisher's law, so its exact
+    p-values are Uniform(0, 1): the law the paper compares against."""
+    details, ok = [], True
+    for n, tag in ((31, 8), (60, 9)):
+        p_values = np.sort(_fisher_p_values("normal", n, tag))
+        ranks = np.arange(1, p_values.size + 1) / p_values.size
+        distance = max((ranks - p_values).max(), (p_values - ranks + 1 / p_values.size).max())
+        p = float(kolmogorov(math.sqrt(p_values.size) * distance))
+        ok = ok and p > 0.01
+        details.append(f"n={n}: KS p = {p:.3f}")
+    report("Fisher p-values uniform (normal noise)", ok, ", ".join(details))
+
+
+def test_fisher_size_conservative_t2():
+    """The paper's headline comparison, Fisher's side: under t2 noise his
+    test rejects a true null far less often than its nominal level."""
+    rejections = int((_fisher_p_values("t2", 31, tag=10) <= ALPHA).sum())
+    low, high = wilson_interval(rejections, 2000)
+    report("Fisher's test off nominal (t2 noise, n=31)", high < 0.03,
+           f"size {rejections / 2000:.4f}, 95% interval [{low:.4f}, {high:.4f}]")
+
+
+def test_permutation_size_holds_t2():
+    """The same comparison, the permutation test's side: on the same kind
+    of series it keeps its size."""
+    cell = run_cell("t2", 31, 0.0, 2000, DESK_M, ALPHA, 11)
+    report("permutation test holds its size (t2 noise, n=31)",
+           abs(cell.power - ALPHA) <= NULL_TOLERANCE,
+           f"size {cell.power:.4f}, 95% interval [{cell.wilson_low:.4f}, {cell.wilson_high:.4f}]")
 
 
 def test_parseval_identity_1000_series():

@@ -1,8 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +240,30 @@ class TestPowerStudyCommand:
                 main(["power-study", "--out", str(out)])
         assert out.read_text() == "earlier results\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["p.jsonl"]
+
+    def test_terminated_run_leaves_an_earlier_results_file(self, tmp_path):
+        """SIGTERM, as sent by `timeout`, exits 143 through the same cleanup:
+        no partial file is left and an earlier file at --out is kept."""
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier results\n")
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        run = subprocess.Popen(
+            [sys.executable, "-m", "permspec.cli", "power-study", "--full-scale",
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (tmp_path / "out.jsonl.partial").exists():
+                assert run.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            run.terminate()
+            assert run.wait(timeout=60) == 143
+        finally:
+            run.kill()
+        assert out.read_text() == "earlier results\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.jsonl"]
 
 
 class TestSimulateCommand:

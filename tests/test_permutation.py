@@ -69,6 +69,17 @@ class TestSimulateNull:
         for value in null.msi_values:
             assert np.abs(support - value).min() < 1e-9
 
+    def test_null_distribution_freezes_a_copy(self):
+        """The null's values are read-only; the caller's array stays writeable
+        and writing to it moves no null value."""
+        values = np.linspace(0.0, 1.0, 5)
+        null = NullDistribution(values, PermutationPlan(1, 5))
+        assert values.flags.writeable
+        assert not null.msi_values.flags.writeable
+        assert null.msi_values.tobytes() == values.tobytes()
+        values[0] = 9.0
+        assert null.msi_values[0] == 0.0
+
     def test_single_simulation(self):
         null = simulate_null(ALTERNATING, PermutationPlan(master_seed=1, n_permutations=1))
         assert null.msi_values.shape == (1,)

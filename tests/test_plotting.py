@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,7 +13,7 @@ from permspec import (
     simulate_null,
     summarize_test,
 )
-from permspec.plotting import gaussian_kde, render_plot_svg, silverman_bandwidth
+from permspec.plotting import PlotModel, gaussian_kde, render_plot_svg, silverman_bandwidth
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -110,3 +111,59 @@ def test_rendering_is_byte_stable(test_pieces):
     result, null, analysis = test_pieces
     model = build_plot_model(result, null, analysis)
     assert render_plot_svg(model) == render_plot_svg(model)
+
+
+def hand_built_model(bars: int, p_value: float, scale: float = 1.0, flat: bool = False) -> PlotModel:
+    """A model with no spectrum or null behind it.  Every value is an exact
+    integer, or one correctly rounded product or quotient of two, so no
+    numpy build can move a bit of it."""
+    k = np.arange(1, bars + 1)
+    frequencies = k / (2 * bars + 1)
+    heights = (k * 37 % 101 + 1) * scale / 8
+    i = np.arange(200)
+    grid = i * (6.0 * scale) / 199
+    density = np.zeros(200) if flat else i * (199 - i) / 9801
+    return PlotModel(
+        frequencies=frequencies,
+        bar_heights=heights,
+        density_grid=grid,
+        density_values=density,
+        quartiles=(1.5 * scale, 2.25 * scale, 3.125 * scale),
+        observed_msi=float(heights.max()),
+        peak_frequency=float(frequencies[heights.argmax()]),
+        p_value=p_value,
+    )
+
+
+# sha256 of render_plot_svg for each hand-built model
+SVG_SHA256 = {
+    "120-bars": (
+        hand_built_model(120, 0.0123),
+        "2dcab3c1536bf8f4248e00e38908225c4230556daa003c7c3697309771c831ab",
+    ),
+    "one-bar": (
+        hand_built_model(1, 1.0),
+        "450a963f03755847cca61de27528fd08317f2558a83fdee775e0ae2b2dfec4da",
+    ),
+    "flat-density": (
+        hand_built_model(12, 0.0, flat=True),
+        "5a36224a843086015e081624dec295de5a65152ce52ed5e2a0bdfd88e268b7e8",
+    ),
+    "small-scale": (
+        hand_built_model(50, 0.5, scale=1e-3),
+        "2e66d1ee54a0c326b8741ac09b5ef20dcfccb818b797d1da058a884767b29fba",
+    ),
+    "large-scale": (
+        hand_built_model(7, 0.04995, scale=1e3),
+        "51d6eb6df96886176ced59851e2f6fed8561d9c0bd37546b901731ba3e8bf72c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SVG_SHA256)
+def test_rendered_bytes_are_pinned(case):
+    """The renderer's output, byte for byte, independently of the FFT and
+    of the null: many bars, one bar as at n=3, a density that is zero
+    everywhere, p-values 0 and 1, and heights from about 1e-4 to 1e4."""
+    model, digest = SVG_SHA256[case]
+    assert hashlib.sha256(render_plot_svg(model).encode()).hexdigest() == digest

@@ -73,6 +73,19 @@ class TestStudyConfigValidation:
         assert tiny_config(master_seed=0).master_seed == 0
         assert tiny_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
+    @pytest.mark.parametrize(
+        "cell", [("normal", 31, 0.4), ("t2", 30, 0.5), ("cauchy", 30, 0.4)],
+        ids=["n", "lambda", "distribution"],
+    )
+    def test_cell_seed_only_for_cells_in_the_grid(self, cell):
+        """A cell outside the grid has no seed: an n off the grid used to get
+        one, and a lambda failed inside tuple.index."""
+        config = desk_scale_config(0)
+        distribution, n, snr = cell
+        with pytest.raises(ValueError, match=rf"^no cell \('{distribution}', n={n}, lambda={snr}\)"):
+            config.cell_seed(distribution, n, snr)
+        assert config.cell_seed("normal", 30, 0.4) == seed_chain(0, 1, 30, 1)
+
 
 class TestRunCell:
     def test_deterministic_given_cell_seed(self):

@@ -12,11 +12,12 @@ from permspec import (
     chebyshev_t,
     dft_at,
     fisher_g,
+    fisher_p_value,
     spectral_identity,
     unitary_dft_matrix,
 )
 
-from oracles import naive_dft_at, naive_fisher_g
+from oracles import fisher_tail_mp, naive_dft_at, naive_fisher_g
 
 ALTERNATING = [1.0, -1.0, 1.0, -1.0]
 
@@ -194,6 +195,39 @@ class TestFisherStatistic:
         """The series boundary rejects complex input, before any spectrum."""
         with pytest.raises(TypeError, match="series values must be real numbers"):
             fisher_g(np.array([1.0, 2.0j, 3.0, -1.0]))
+
+
+class TestFisherPValue:
+    """Fisher's exact tail of g, summed in integers, against mpmath."""
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 30, 119])
+    def test_equals_the_80_digit_tail(self, m):
+        """The nearest float to the exact tail, on a grid of g that crosses
+        1/m and every 1/j at which a term joins the sum."""
+        grid = np.linspace(0.0, 1.0, 101).tolist()
+        grid += [1 / j for j in range(1, m + 1)] + [1 / j + 1e-9 for j in range(2, m + 1)]
+        for g in grid:
+            assert fisher_p_value(g, m) == fisher_tail_mp(g, m), g
+
+    @pytest.mark.parametrize("m", [2, 15, 30, 119])
+    def test_never_increases_with_g(self, m):
+        grid = np.sort(np.random.default_rng(m).uniform(1.0 / m, 1.0, 400))
+        tails = [fisher_p_value(g, m) for g in [0.0, 1.0 / m, *grid.tolist(), 1.0]]
+        assert tails[:2] == [1.0, 1.0] and tails[-1] == 0.0
+        assert all(later <= earlier for earlier, later in zip(tails, tails[1:]))
+
+    def test_numpy_arguments(self):
+        assert fisher_p_value(np.float64(0.3), np.int64(15)) == fisher_p_value(0.3, 15)
+
+    @pytest.mark.parametrize(
+        "g,m,error",
+        [(0.3, 0, ValueError), (0.3, 15.0, TypeError), (0.3, True, TypeError),
+         (-0.1, 15, ValueError), (1.5, 15, ValueError), (math.nan, 15, ValueError),
+         (math.inf, 15, ValueError)],
+    )
+    def test_rejects_values_outside_its_rule(self, g, m, error):
+        with pytest.raises(error):
+            fisher_p_value(g, m)
 
 
 class TestAutocovariance:

@@ -149,6 +149,10 @@ INTEGER_RULES = {
             "run_cell": lambda value: run_cell("normal", 30, 0.0, value, 20, 0.05, 1),
         },
     ),
+    # wilson_interval(2.5, 10), (True, 10) and (3, 10.5) used to return
+    # intervals; no caller passes it counts from outside the package
+    "successes": (lambda value: wilson_interval(value, 10), {}),
+    "trials": (lambda value: wilson_interval(3, value), {}),
 }
 NOT_INTEGERS = [1.5, 3.0, np.float64(3), True]
 
@@ -156,7 +160,14 @@ NOT_INTEGERS = [1.5, 3.0, np.float64(3), True]
 @pytest.mark.parametrize("value", NOT_INTEGERS, ids=["1.5", "3.0", "float64-3", "bool-True"])
 @pytest.mark.parametrize(
     "rule,name",
-    [("length", "n"), ("seed", "master_seed"), ("permutations", "permutations"), ("replicates", "replicates")],
+    [
+        ("length", "n"),
+        ("seed", "master_seed"),
+        ("permutations", "permutations"),
+        ("replicates", "replicates"),
+        ("successes", "successes"),
+        ("trials", "trials"),
+    ],
 )
 def test_seeds_and_counts_must_be_integers(rule, name, value):
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
@@ -192,6 +203,7 @@ def test_python_and_numpy_integers_pass(integer):
     check_seed(integer(7))
     check_permutations(integer(7))
     check_replicates(integer(7))
+    assert wilson_interval(integer(3), integer(7)) == wilson_interval(3, 7)
     null = simulate_null([0.5, 2.0, -1.0, 4.0], PermutationPlan(integer(7), integer(5)))
     plain = simulate_null([0.5, 2.0, -1.0, 4.0], PermutationPlan(7, 5))
     assert null.msi_values.tobytes() == plain.msi_values.tobytes()
