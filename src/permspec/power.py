@@ -25,20 +25,12 @@ from .permutation import (
     decision_group,
     wilson_interval,
 )
-from .report import field_map, from_record, to_record
+from .report import field_map, from_record, parse_tagged, to_record
 from .rng import ShuffleBuffers, check_integer, check_seed, seed_chain
 from .series import spread_rows
 from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
 
 _DISTRIBUTION_IDS = {name: index + 1 for index, name in enumerate(DISTRIBUTIONS)}
-
-# Grid used in the acceptance study; runs in minutes on one core.
-DESK_SCALE = dict(
-    n_values=(30, 60),
-    snr_values=(0.0, 0.4, 0.8, 1.0),
-    replicates=500,
-    permutations=200,
-)
 
 # Full reference grid; about 18 min on one core of a shared Xeon VM (a
 # K=500 run of every cell took 54 s).
@@ -62,11 +54,14 @@ def check_replicates(replicates: int) -> None:
 
 @dataclass(frozen=True)
 class StudyConfig:
+    """A power-study grid and its test settings.  The defaults are the desk
+    grid of the acceptance study, which runs in seconds on one core."""
+
     distributions: tuple[str, ...] = DISTRIBUTIONS
-    n_values: tuple[int, ...] = DESK_SCALE["n_values"]
-    snr_values: tuple[float, ...] = DESK_SCALE["snr_values"]
-    replicates: int = DESK_SCALE["replicates"]
-    permutations: int = DESK_SCALE["permutations"]
+    n_values: tuple[int, ...] = (30, 60)
+    snr_values: tuple[float, ...] = (0.0, 0.4, 0.8, 1.0)
+    replicates: int = 500
+    permutations: int = 200
     alpha: float = 0.05
     confidence: float = 0.95
     master_seed: int = 0
@@ -107,7 +102,7 @@ class StudyConfig:
 
 
 def desk_scale_config(master_seed: int = 0, **overrides) -> StudyConfig:
-    return StudyConfig(master_seed=master_seed, **{**DESK_SCALE, **overrides})
+    return StudyConfig(master_seed=master_seed, **overrides)
 
 
 def full_scale_config(master_seed: int = 0, **overrides) -> StudyConfig:
@@ -265,11 +260,7 @@ def load_table(path) -> PowerTable:
         lines = [line for line in handle.read().splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty results file")
-    header = json.loads(lines[0])
-    if header.get("schema") != POWER_SCHEMA:
-        raise ValueError(
-            f"unsupported results schema {header.get('schema')!r}, expected {POWER_SCHEMA!r}"
-        )
+    header = parse_tagged(lines[0], POWER_SCHEMA, "results")
     config = from_record(StudyConfig, header, _HEADER_FIELDS, "results header")
     cells = tuple(
         from_record(PowerCell, json.loads(line), _CELL_FIELDS, f"cell record {index}")

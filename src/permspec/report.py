@@ -59,13 +59,20 @@ def write_report(result: TestResult, path) -> None:
         handle.write(render_report(result))
 
 
-def parse_report(text: str) -> TestResult:
+def parse_tagged(text: str, schema: str, kind: str) -> dict:
+    """The JSON object in ``text``, checked to carry the tag ``schema``: the
+    one check of a report and of a results file's header line.  Any other
+    JSON value, or another tag, raises ValueError naming the file ``kind``."""
     payload = json.loads(text)
-    if payload.get("schema") != REPORT_SCHEMA:
-        raise ValueError(
-            f"unsupported report schema {payload.get('schema')!r}, expected {REPORT_SCHEMA!r}"
-        )
-    return from_record(TestResult, payload, _FIELDS, "report")
+    if not isinstance(payload, dict):
+        raise ValueError(f"not a {kind} file: expected a JSON object, got {type(payload).__name__}")
+    if payload.get("schema") != schema:
+        raise ValueError(f"unsupported {kind} schema {payload.get('schema')!r}, expected {schema!r}")
+    return payload
+
+
+def parse_report(text: str) -> TestResult:
+    return from_record(TestResult, parse_tagged(text, REPORT_SCHEMA, "report"), _FIELDS, "report")
 
 
 def read_report(path) -> TestResult:

@@ -169,6 +169,8 @@ def permutation_rows(n: int, row_seeds: np.ndarray, buffers: ShuffleBuffers) -> 
     shuffled in lockstep, one swap position per vectorised step, so a row
     depends on its seed alone.  The modulo draw carries a bias below
     ``n / 2**64``, many orders of magnitude under anything observable.
+    The draws are made a block of steps at a time, DRAW_BLOCK_BYTES of
+    them, and each block is swapped before the next is drawn.
     The positions are of :func:`position_type`, so each step's random
     reads and writes span a quarter (n <= 65,536) or an eighth (n <= 256)
     of the bytes of float values; a caller gathers its values from them.
@@ -188,23 +190,7 @@ def permutation_rows(n: int, row_seeds: np.ndarray, buffers: ShuffleBuffers) -> 
     work = buffers.take("work", (n, rows), dtype)
     work[...] = np.arange(n, dtype=dtype)[:, None]
     flat = work.reshape(-1)
-    held = np.empty(rows, dtype=dtype)
-    for top, targets in _swap_targets(seeds, n, buffers):
-        for i, target in zip(range(top, 0, -1), targets):
-            # the method skips np.take's dispatch, and "clip" its buffered
-            # bounds check: every index is in range by construction
-            flat.take(target, out=held, mode="clip")
-            flat[target] = work[i]
-            work[i] = held
-    return work.T
-
-
-def _swap_targets(seeds: np.ndarray, n: int, buffers: ShuffleBuffers):
-    """``(i, targets)`` per block of Fisher-Yates steps i, i-1, ...: at step
-    ``i - s``, column m swaps its element ``i - s`` with the one at flat
-    index ``targets[s, m] = j*rows + m``.  ``targets`` is overwritten by the
-    next block."""
-    rows = seeds.size
+    saved = np.empty(rows, dtype=dtype)
     lanes = np.arange(rows, dtype=_U64)
     steps_per_block = max(1, min(n - 1, DRAW_BLOCK_BYTES // (8 * max(rows, 1))))
     # the draws of every block, and of every call with the same buffers,
@@ -223,5 +209,11 @@ def _swap_targets(seeds: np.ndarray, n: int, buffers: ShuffleBuffers):
         _mix64_inplace(targets, scratch[: draw.size])
         targets %= _U64(n + 1) - draw  # i + 1, for step i = n - draw
         targets *= _U64(rows)
-        targets += lanes
-        yield n - first, targets.view(np.intp)
+        targets += lanes  # the flat index j*rows + m of column m's swap
+        for i, target in zip(range(n - first, 0, -1), targets.view(np.intp)):
+            # the method skips np.take's dispatch, and "clip" its buffered
+            # bounds check: every index is in range by construction
+            flat.take(target, out=saved, mode="clip")
+            flat[target] = work[i]
+            work[i] = saved
+    return work.T

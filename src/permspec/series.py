@@ -67,8 +67,7 @@ class TimeSeries:
         denominator; 0.0 for a constant series): the arithmetic of
         :meth:`spread`, in data units."""
         unit, variance, exponent = self._unit_spread()
-        with np.errstate(over="ignore"):  # beyond the float range reads inf
-            return times_power_of_two(unit, exponent), float(np.ldexp(variance, 2 * exponent))
+        return times_power_of_two(unit, exponent), float(times_power_of_two(variance, 2 * exponent))
 
     def spread(self) -> tuple[np.ndarray, float, int]:
         """``(unit, variance, exponent)``: the deviations are ``unit *
@@ -128,11 +127,18 @@ def spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return units, variances, exponents
 
 
-def times_power_of_two(values: np.ndarray, exponent: int) -> np.ndarray:
-    """``values * 2**exponent`` for a real or complex array (a spectrum is
-    complex even for a real series): exact unless the result leaves the
-    normal float range (inf, or lost low bits)."""
-    return np.ldexp(values.view(np.float64), exponent).view(values.dtype)
+def times_power_of_two(values, exponent) -> np.ndarray:
+    """``values * 2**exponent`` for a real number or array, or a complex
+    array of at least one dimension (a spectrum is complex even for a real
+    series; it is scaled as float pairs, which a 0-d array cannot be viewed as).
+
+    Every power-of-two scaling of the package goes through here: exact
+    unless the result leaves the normal float range.  Below it the result
+    loses low bits; beyond it, it reads inf without a warning.
+    """
+    values = np.asarray(values)
+    with np.errstate(over="ignore"):
+        return np.ldexp(values.view(np.float64), exponent).view(values.dtype)
 
 
 def as_time_series(values) -> TimeSeries:

@@ -35,9 +35,9 @@ def dft_at(series, delta: float) -> complex:
     ts = as_time_series(series)
     unit, _, exponent = ts._unit_spread()  # zeros for a constant series
     phases = np.exp(-2j * np.pi * delta * np.arange(ts.n))
+    # keepdims: a 0-d complex array has no view as float pairs
     total = np.sum(unit * phases, keepdims=True) / math.sqrt(ts.n)
-    with np.errstate(over="ignore"):  # beyond the float range reads inf
-        return complex(times_power_of_two(total, exponent)[0])
+    return complex(times_power_of_two(total, exponent)[0])
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,8 @@ def analyze_spectrum(series) -> SpectrumAnalysis:
     moduli = np.empty(raw.shape)
     scale = kernels.msi_scale(n, unit_variance)
     msi = float(kernels.peak_moduli(raw, moduli) * scale)
-    with np.errstate(over="ignore"):  # beyond the float range reads inf
-        dft = times_power_of_two(raw / math.sqrt(n), exponent)
-        sample_variance = float(np.ldexp(unit_variance, 2 * exponent))
+    dft = times_power_of_two(raw / math.sqrt(n), exponent)
+    sample_variance = float(times_power_of_two(unit_variance, 2 * exponent))
     mirror = slice((n + 1) // 2 - 1, 0, -1)
     dft, intensity, scaled = (
         np.concatenate([half, half[mirror].conj()]) for half in (dft, np.abs(dft), moduli * scale)
@@ -167,6 +166,7 @@ def autocovariance(series, lag: int) -> float:
     Lag 0 therefore coincides with the sample variance.  The largest usable
     lag is ``n - 2``; beyond it the normaliser is no longer positive.
     """
+    check_integer("lag", lag)
     profile = autocorrelation_profile(series)
     if not 0 <= lag <= profile.max_lag:
         raise ValueError(f"lag must be in [0, {profile.max_lag}], got {lag}")
@@ -192,8 +192,7 @@ def autocorrelation_profile(series) -> AutocorrelationProfile:
     unit, _, exponent = as_time_series(series).spread()
     n = unit.size
     gamma = np.array([np.dot(unit[: n - lag], unit[lag:]) / (n - lag - 1) for lag in range(n - 1)])
-    with np.errstate(over="ignore"):  # beyond the float range reads inf
-        autocovariances = np.ldexp(gamma, 2 * exponent)
+    autocovariances = times_power_of_two(gamma, 2 * exponent)
     profile = AutocorrelationProfile(autocovariances, autocorrelations=gamma / gamma[0])
     for arr in (profile.autocovariances, profile.autocorrelations):
         arr.flags.writeable = False
@@ -213,6 +212,7 @@ def _chebyshev_sequence(max_order: int, phi: float) -> np.ndarray:
 
 def chebyshev_t(ell: int, phi: float) -> float:
     """Chebyshev polynomial of the first kind, ``T_ell(cos x) = cos(ell*x)``."""
+    check_integer("ell", ell)
     if ell < 0:
         raise ValueError(f"order must be non-negative, got {ell}")
     if not -1.0 <= phi <= 1.0:
@@ -250,6 +250,7 @@ def unitary_dft_matrix(n: int) -> np.ndarray:
     Applying U to a centered series reproduces the ``dft`` vector of
     ``analyze_spectrum``.
     """
+    check_integer("n", n)
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
     indices = np.arange(n)

@@ -68,6 +68,12 @@ class TestIngestCsv:
         with pytest.raises(FileNotFoundError):
             ingest_csv("/does/not/exist.csv")
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\n\n")
+        with pytest.raises(CsvParseError, match="row 1: file contains no data$"):
+            ingest_csv(path)
+
     def test_missing_column_reports_the_first_row(self, tmp_path):
         """A first row without the selected column is an error at row 1,
         not a header."""
@@ -151,6 +157,12 @@ class TestTestCommand:
     def test_missing_file_exits_one(self, capsys):
         assert main(["test", "/nope.csv"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_empty_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert main(["test", str(path)]) == 1
+        assert "file contains no data" in capsys.readouterr().err
 
 
 class TestPowerStudyCommand:

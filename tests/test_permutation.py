@@ -80,6 +80,11 @@ class TestSimulateNull:
         values[0] = 9.0
         assert null.msi_values[0] == 0.0
 
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_null_distribution_needs_one_value_per_simulation(self, count):
+        with pytest.raises(ValueError, match="one MSI value per planned simulation"):
+            NullDistribution(np.zeros(count), PermutationPlan(1, 5))
+
     def test_single_simulation(self):
         null = simulate_null(ALTERNATING, PermutationPlan(master_seed=1, n_permutations=1))
         assert null.msi_values.shape == (1,)

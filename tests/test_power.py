@@ -456,6 +456,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="schema"):
             load_table(path)
 
+    @pytest.mark.parametrize("header", ['"text"', "[1]"])
+    def test_header_other_than_an_object_rejected(self, tmp_path, header):
+        """A header line holding any JSON value but an object used to raise
+        AttributeError."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="^not a results file: expected a JSON object, got "):
+            load_table(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^empty results file$"):
+            load_table(path)
+
     def test_empty_table_round_trips(self, tmp_path):
         table = PowerTable(config=tiny_config())
         path = tmp_path / "empty.jsonl"

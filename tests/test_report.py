@@ -42,6 +42,13 @@ def test_unknown_schema_rejected():
         parse_report('{"schema": "not-a-report/0"}')
 
 
+@pytest.mark.parametrize("text", ["[1]", "null", '"x"'])
+def test_json_other_than_an_object_rejected(text):
+    """Any JSON value but an object used to raise AttributeError."""
+    with pytest.raises(ValueError, match="^not a report file: expected a JSON object, got "):
+        parse_report(text)
+
+
 def test_missing_field_is_named(result):
     text = render_report(result).replace('"p_value"', '"pee_value"')
     with pytest.raises(ValueError, match="p_value"):

@@ -8,6 +8,7 @@ from permspec import (
     gen_sinusoid,
     normalize_magnitude,
     random_composite,
+    signals,
 )
 from permspec.rng import philox_generator
 
@@ -139,6 +140,37 @@ class TestRandomComposite:
         generator = philox_generator(12)
         generator.uniform(0.0, 0.5)  # the frequency draw comes first
         np.testing.assert_array_equal(composite.series.values, gen_noise(spec, generator))
+
+    def test_a_zero_frequency_is_drawn_again(self, monkeypatch):
+        """The boundary draw 0.0 (probability ~2**-53) is rejected: the
+        frequency is the next uniform draw, and the noise follows it."""
+
+        class FirstUniformReadsZero:
+            def __init__(self, generator):
+                self.generator, self.first = generator, True
+
+            def uniform(self, low, high):
+                value = self.generator.uniform(low, high)
+                if self.first:
+                    self.first = False
+                    return 0.0
+                return value
+
+            def __getattr__(self, name):
+                return getattr(self.generator, name)
+
+        generators = signals.philox_generators
+        monkeypatch.setattr(
+            signals,
+            "philox_generators",
+            lambda seeds: (FirstUniformReadsZero(g) for g in generators(seeds)),
+        )
+        spec = NoiseSpec("normal", 30)
+        values, frequencies, _ = signals.composite_block(spec, 0.0, np.array([12], dtype=np.uint64))
+        generator = philox_generator(12)
+        generator.uniform(0.0, 0.5)  # the draw read as 0.0
+        assert frequencies[0] == generator.uniform(0.0, 0.5)
+        np.testing.assert_array_equal(values[0], gen_noise(spec, generator))
 
     @pytest.mark.parametrize("snr", [-1.0, float("nan"), float("inf")])
     def test_rejects_invalid_lambda(self, snr):

@@ -317,6 +317,10 @@ class TestSpectralIdentity:
 
 
 class TestUnitaryDftMatrix:
+    def test_n_zero_rejected(self):
+        with pytest.raises(ValueError, match="matrix size must be >= 1, got 0"):
+            unitary_dft_matrix(0)
+
     def test_n_equals_one(self):
         np.testing.assert_allclose(unitary_dft_matrix(1), [[1.0]])
 

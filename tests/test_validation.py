@@ -10,12 +10,15 @@ from permspec import (
     TimeSeries,
     analyze_spectrum,
     autocorrelation_profile,
+    autocovariance,
+    chebyshev_t,
     fisher_g,
     gen_sinusoid,
     random_composite,
     run_cell,
     run_test,
     simulate_null,
+    unitary_dft_matrix,
     wilson_interval,
 )
 from permspec.cli import ingest_csv
@@ -153,6 +156,12 @@ INTEGER_RULES = {
     # intervals; no caller passes it counts from outside the package
     "successes": (lambda value: wilson_interval(value, 10), {}),
     "trials": (lambda value: wilson_interval(3, value), {}),
+    # unitary_dft_matrix(2.5) used to return a 3x3 matrix that is not
+    # unitary; chebyshev_t(2.5, 0.3) failed inside numpy and
+    # autocovariance(s, 1.5) with an IndexError
+    "matrix size": (unitary_dft_matrix, {}),
+    "order": (lambda value: chebyshev_t(value, 0.3), {}),
+    "lag": (lambda value: autocovariance([1.0, 2.0, 4.0, 3.0, 5.0], value), {}),
 }
 NOT_INTEGERS = [1.5, 3.0, np.float64(3), True]
 
@@ -167,6 +176,9 @@ NOT_INTEGERS = [1.5, 3.0, np.float64(3), True]
         ("replicates", "replicates"),
         ("successes", "successes"),
         ("trials", "trials"),
+        ("matrix size", "n"),
+        ("order", "ell"),
+        ("lag", "lag"),
     ],
 )
 def test_seeds_and_counts_must_be_integers(rule, name, value):
