@@ -14,6 +14,7 @@ carry no timestamps.  Exit codes: 0 success, 1 domain/file error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import signal
@@ -215,19 +216,19 @@ def _cmd_power_study(args, config: StudyConfig) -> int:
     # No file can be moved onto a directory.
     if os.path.isdir(args.out):
         raise IsADirectoryError(f"--out names a directory: {args.out}")
-    # SIGTERM, as from `timeout` or a batch system, exits through the same cleanup.
+    # SIGTERM, as from `timeout` or a batch system, exits through the same
+    # cleanup, also while open() is creating the partial file.
     partial = f"{args.out}.partial"
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
-        handle = open(partial, "w", encoding="utf-8", newline="\n")
-        try:
-            with handle:
-                table = run_grid(config, progress=progress)
-                handle.write(render_table(table))
-            os.replace(partial, args.out)
-        except BaseException:
+        with open(partial, "w", encoding="utf-8", newline="\n") as handle:
+            table = run_grid(config, progress=progress)
+            handle.write(render_table(table))
+        os.replace(partial, args.out)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):  # open() failed before creating it
             os.remove(partial)
-            raise
+        raise
     finally:
         signal.signal(signal.SIGTERM, previous)
     sys.stdout.write(f"wrote {len(table.cells)} cells to {args.out}\n")

@@ -25,7 +25,7 @@ from .permutation import (
     decision_group,
     wilson_interval,
 )
-from .report import field_map, from_record, parse_tagged, to_record
+from .report import field_map, from_record, parse_object, parse_tagged, to_record
 from .rng import ShuffleBuffers, check_integer, check_seed, seed_chain
 from .series import spread_rows
 from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
@@ -242,10 +242,8 @@ _CELL_FIELDS = field_map(PowerCell, {"snr": "lambda", "replicates": "K", "permut
 def render_table(table: PowerTable) -> str:
     """Results file text: a schema header line, then one JSON record per cell."""
     header = {"schema": POWER_SCHEMA, **to_record(table.config, _HEADER_FIELDS)}
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(
-        json.dumps(to_record(cell, _CELL_FIELDS), sort_keys=True) for cell in table.cells
-    )
+    records = [header, *(to_record(cell, _CELL_FIELDS) for cell in table.cells)]
+    lines = [json.dumps(record, sort_keys=True, default=np.generic.item) for record in records]
     return "\n".join(lines) + "\n"
 
 
@@ -262,8 +260,8 @@ def load_table(path) -> PowerTable:
         raise ValueError("empty results file")
     header = parse_tagged(lines[0], POWER_SCHEMA, "results")
     config = from_record(StudyConfig, header, _HEADER_FIELDS, "results header")
-    cells = tuple(
-        from_record(PowerCell, json.loads(line), _CELL_FIELDS, f"cell record {index}")
-        for index, line in enumerate(lines[1:], start=1)
-    )
-    return PowerTable(config=config, cells=cells)
+    cells = []
+    for index, line in enumerate(lines[1:], start=1):
+        what = f"cell record {index}"
+        cells.append(from_record(PowerCell, parse_object(line, what), _CELL_FIELDS, what))
+    return PowerTable(config=config, cells=tuple(cells))

@@ -29,16 +29,10 @@ _FIELDS = field_map(TestResult, {"n_permutations": "permutations"})
 
 
 def to_record(obj, fields: dict[str, str]) -> dict:
-    """The JSON record of ``obj`` through a file key -> attribute map."""
-    return {key: _plain(getattr(obj, attribute)) for key, attribute in fields.items()}
-
-
-def _plain(value):
-    """``value`` with numpy scalars, also inside a tuple, as the Python
-    numbers they equal, which json writes as it writes those numbers."""
-    if isinstance(value, tuple):
-        return [_plain(item) for item in value]
-    return value.item() if isinstance(value, np.generic) else value
+    """The JSON record of ``obj`` through a file key -> attribute map, its
+    values as they are: the file writers' ``json.dumps`` write a numpy
+    scalar through :meth:`numpy.generic.item`, as the Python number it equals."""
+    return {key: getattr(obj, attribute) for key, attribute in fields.items()}
 
 
 def from_record(cls, record: dict, fields: dict[str, str], what: str):
@@ -51,7 +45,7 @@ def from_record(cls, record: dict, fields: dict[str, str], what: str):
 
 def render_report(result: TestResult) -> str:
     payload = {"schema": REPORT_SCHEMA, **to_record(result, _FIELDS)}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=np.generic.item) + "\n"
 
 
 def write_report(result: TestResult, path) -> None:
@@ -59,13 +53,21 @@ def write_report(result: TestResult, path) -> None:
         handle.write(render_report(result))
 
 
+def parse_object(text: str, what: str) -> dict:
+    """The JSON object in ``text``; any other JSON value raises ValueError
+    naming ``what``.  The one check of a report, a results header line and
+    each cell record line."""
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
 def parse_tagged(text: str, schema: str, kind: str) -> dict:
     """The JSON object in ``text``, checked to carry the tag ``schema``: the
     one check of a report and of a results file's header line.  Any other
     JSON value, or another tag, raises ValueError naming the file ``kind``."""
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError(f"not a {kind} file: expected a JSON object, got {type(payload).__name__}")
+    payload = parse_object(text, f"not a {kind} file")
     if payload.get("schema") != schema:
         raise ValueError(f"unsupported {kind} schema {payload.get('schema')!r}, expected {schema!r}")
     return payload

@@ -106,14 +106,16 @@ def check_varies(variances) -> None:
 def _unit_spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arithmetic of :meth:`TimeSeries.spread` for each row of a finite
     ``(rows, n)`` float64 array, unchecked: the unit deviations, their
-    variances (0.0 for a constant row) and the exponents."""
+    variances (0.0 for a constant row) and the exponents.  Each variance is
+    its row's sum of squares by ``np.vecdot``, which is BLAS ``ddot``: the
+    bytes of ``np.dot`` on that row."""
     largest = np.abs(rows).max(axis=1)
     exponents = np.frexp(largest)[1]
     values = times_power_of_two(rows, -exponents[:, None])
     units = values - values.mean(axis=1, keepdims=True)
     # exactly constant, even where the mean rounds (seven 0.1s)
     units[np.all(rows == rows[:, :1], axis=1)] = 0.0
-    variances = np.array([np.dot(unit, unit) for unit in units]) / (rows.shape[1] - 1)
+    variances = np.vecdot(units, units) / (rows.shape[1] - 1)
     return units, variances, exponents
 
 

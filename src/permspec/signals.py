@@ -20,7 +20,10 @@ DISTRIBUTIONS = ("normal", "t2")
 
 
 def check_snr(snr: float) -> None:
-    """Reject a signal-to-noise ratio lambda that is not finite and >= 0."""
+    """Reject a signal-to-noise ratio lambda that is a boolean (TypeError: it
+    would be written to a results file as one) or is not finite and >= 0."""
+    if isinstance(snr, (bool, np.bool_)):
+        raise TypeError(f"lambda must be a real number, got {snr!r}")
     if not (math.isfinite(snr) and snr >= 0.0):
         raise ValueError(f"lambda must be finite and >= 0, got {snr}")
 
@@ -72,6 +75,8 @@ def gen_sinusoid(n: int, frequency, amplitude: float = 1.0) -> np.ndarray:
     """``amplitude * cos(2*pi*frequency*t)`` for t = 0 .. n-1; for an array
     of frequencies, one row per frequency."""
     check_integer("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     frequency = np.asarray(frequency, dtype=np.float64)
     if not np.all((0.0 < frequency) & (frequency < 0.5)):
         raise ValueError(

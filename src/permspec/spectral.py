@@ -24,14 +24,21 @@ def center(series) -> np.ndarray:
     return as_time_series(series).centered()[0]
 
 
+def check_delta(delta: float) -> None:
+    """Reject a frequency ``delta`` that is not finite."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+
+
 def dft_at(series, delta: float) -> complex:
-    """Unitary DFT of the centered series at an arbitrary frequency.
+    """Unitary DFT of the centered series at an arbitrary finite frequency.
 
     ``(1/sqrt(n)) * sum_t (y_t - mean) * exp(-2i*pi*delta*(t-1))``,
     periodic in ``delta`` with period 1.  At ``delta = 0`` the centering
     forces an exact zero.  The sum runs over the unit deviations
     (:meth:`TimeSeries.spread`), so it holds at any finite magnitude.
     """
+    check_delta(delta)
     ts = as_time_series(series)
     unit, _, exponent = ts._unit_spread()  # zeros for a constant series
     phases = np.exp(-2j * np.pi * delta * np.arange(ts.n))
@@ -199,29 +206,21 @@ def autocorrelation_profile(series) -> AutocorrelationProfile:
     return profile
 
 
-def _chebyshev_sequence(max_order: int, phi: float) -> np.ndarray:
-    """T_0(phi) .. T_max_order(phi) by the three-term recurrence."""
-    out = np.empty(max_order + 1)
-    out[0] = 1.0
-    if max_order >= 1:
-        out[1] = phi
-    for ell in range(2, max_order + 1):
-        out[ell] = 2.0 * phi * out[ell - 1] - out[ell - 2]
-    return out
-
-
 def chebyshev_t(ell: int, phi: float) -> float:
-    """Chebyshev polynomial of the first kind, ``T_ell(cos x) = cos(ell*x)``."""
+    """Chebyshev polynomial of the first kind, ``T_ell(cos x) = cos(ell*x)``,
+    by numpy's three-term recurrence (``chebvander``)."""
     check_integer("ell", ell)
     if ell < 0:
         raise ValueError(f"order must be non-negative, got {ell}")
     if not -1.0 <= phi <= 1.0:
         raise ValueError(f"argument must be in [-1, 1], got {phi}")
-    return float(_chebyshev_sequence(ell, phi)[ell])
+    # np.polynomial is reached at call time: importing it slows every CLI start.
+    # float(phi): chebvander runs the recurrence in the argument's dtype.
+    return float(np.polynomial.chebyshev.chebvander(float(phi), ell)[0, ell])
 
 
 def spectral_identity(series, delta: float) -> float:
-    """Squared scaled intensity at ``delta`` from the autocorrelations.
+    """Squared scaled intensity at a finite ``delta`` from the autocorrelations.
 
     Evaluates ``(n-1)/n + 2 * sum_{l=1}^{n-2} ((n-l-1)/n) * rho_l * T_l(phi)``
     with ``phi = cos(2*pi*delta)``, plus the lag-(n-1) boundary term
@@ -229,15 +228,17 @@ def spectral_identity(series, delta: float) -> float:
     lag pairs a single product with a zero normaliser, so it cannot be
     expressed through an autocovariance and enters the quadratic-form
     expansion directly; without it the identity with ``|dft_at|^2 / s^2``
-    only holds asymptotically.
+    only holds asymptotically.  The ``T_l(phi)`` are one row of numpy's
+    ``chebvander``, as in :func:`chebyshev_t`.
     """
+    check_delta(delta)
     ts = as_time_series(series)
     unit, variance, _ = ts.spread()
     n = ts.n
     rho = autocorrelation_profile(ts).autocorrelations
 
     phi = min(1.0, max(-1.0, math.cos(2.0 * math.pi * delta)))  # guard rounding
-    cheb = _chebyshev_sequence(n - 1, phi)
+    cheb = np.polynomial.chebyshev.chebvander(phi, n - 1)[0]  # T_0 .. T_{n-1}
     lags = np.arange(1, n - 1)
     body = 2.0 * np.sum((n - lags - 1) / n * rho[1:] * cheb[1 : n - 1])
     boundary = 2.0 / n * cheb[n - 1] * unit[0] * unit[-1] / variance

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -253,6 +254,26 @@ class TestPowerStudyCommand:
         assert out.read_text() == "earlier results\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["p.jsonl"]
 
+    def test_terminated_while_opening_the_partial_file(self, tmp_path, monkeypatch):
+        """A SIGTERM that lands inside open(), after the partial file is
+        created, exits through the same cleanup; it used to leave the file."""
+
+        def open_then_terminate(path, *args, **kwargs):
+            Path(path).touch()
+            raise SystemExit(143)
+
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier results\n")
+        monkeypatch.setattr(cli, "open", open_then_terminate, raising=False)
+        monkeypatch.setattr(cli, "run_grid", self.no_grid)
+        previous = signal.getsignal(signal.SIGTERM)
+        with pytest.raises(SystemExit) as exited:
+            main(["power-study", "--out", str(out)])
+        assert exited.value.code == 143
+        assert out.read_text() == "earlier results\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.jsonl"]
+        assert signal.getsignal(signal.SIGTERM) is previous
+
     def test_terminated_run_leaves_an_earlier_results_file(self, tmp_path):
         """SIGTERM, as sent by `timeout`, exits 143 through the same cleanup:
         no partial file is left and an earlier file at --out is kept."""
@@ -276,6 +297,18 @@ class TestPowerStudyCommand:
             run.kill()
         assert out.read_text() == "earlier results\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    """The Chebyshev helpers reach np.polynomial when called, so that no
+    command that does not use them pays for importing it at start."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, permspec.cli; print('numpy.polynomial' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "False\n"
 
 
 class TestSimulateCommand:

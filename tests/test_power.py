@@ -465,6 +465,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match="^not a results file: expected a JSON object, got "):
             load_table(path)
 
+    @pytest.mark.parametrize("record", ["null", "5", "string"])
+    def test_cell_record_other_than_an_object_rejected(self, tmp_path, record):
+        """A cell record of null or 5 used to raise TypeError, and so did a
+        JSON string that holds every field name."""
+        lines = render_table(run_grid(tiny_config(replicates=2, permutations=5))).splitlines()
+        lines[2] = json.dumps(lines[2]) if record == "string" else record
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^cell record 2: expected a JSON object, got "):
+            load_table(path)
+
     @pytest.mark.parametrize("text", ["", "\n  \n"])
     def test_empty_file_rejected(self, tmp_path, text):
         path = tmp_path / "empty.jsonl"

@@ -94,3 +94,14 @@ def test_spread_rows_is_each_rows_series_spread():
             broken[2] = 0.1 if bad is None else [bad] + [0.0] * (n - 1)
             with pytest.raises(error, match="finite" if error is ValueError else "constant"):
                 spread_rows(broken)
+
+
+def test_spread_rows_variances_are_each_rows_dot_product():
+    """Each variance is its row's np.dot sum of squares, bit for bit, from one
+    row to a power-study block of 174 rows and at n = 5,000."""
+    generator = np.random.default_rng(5)
+    for rows, n in ((1, 30), (174, 60), (7, 240), (2, 5000)):
+        block = generator.standard_t(2, (rows, n))
+        units, variances, _ = spread_rows(block)
+        expected = np.array([np.dot(unit, unit) for unit in units]) / (n - 1)
+        assert variances.tobytes() == expected.tobytes()

@@ -289,6 +289,18 @@ class TestChebyshev:
                 math.cos(ell * theta), abs=1e-9
             )
 
+    def test_three_term_recurrence_bit_for_bit(self):
+        """T_ell(phi) is the float64 recurrence T_ell = 2 phi T_(ell-1) -
+        T_(ell-2) from T_0 = 1 and T_1 = phi, bit for bit, at the ends of the
+        domain and inside it, also for a float32 phi."""
+        phis = [-1.0, 0.0, 1.0, np.float32(0.3), *np.random.default_rng(17).uniform(-1.0, 1.0, 20)]
+        for phi in phis:
+            expected = [1.0, float(phi)]
+            for _ in range(2, 240):
+                expected.append(2.0 * float(phi) * expected[-1] - expected[-2])
+            for ell in (0, 1, 2, 7, 59, 239):
+                assert chebyshev_t(ell, phi).hex() == expected[ell].hex()
+
 
 class TestSpectralIdentity:
     def test_alternating_example(self):

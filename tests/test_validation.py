@@ -12,12 +12,14 @@ from permspec import (
     autocorrelation_profile,
     autocovariance,
     chebyshev_t,
+    dft_at,
     fisher_g,
     gen_sinusoid,
     random_composite,
     run_cell,
     run_test,
     simulate_null,
+    spectral_identity,
     unitary_dft_matrix,
     wilson_interval,
 )
@@ -26,6 +28,8 @@ from permspec.permutation import check_alpha, check_confidence, check_permutatio
 from permspec.power import check_replicates
 from permspec.rng import check_seed
 from permspec.series import check_length
+from permspec.signals import check_snr
+from permspec.spectral import check_delta
 
 
 def _ingest_two_rows(tmp_path):
@@ -91,6 +95,28 @@ RULES = {
             "StudyConfig": lambda tmp_path: StudyConfig(replicates=0),
             "run_cell": lambda tmp_path: run_cell("normal", 30, 0.0, 0, 20, 0.05, 1),
         },
+    ),
+    # spectral_identity(s, nan) used to return the delta = 1/2 value,
+    # spectral_identity(s, inf) failed with "math domain error" and
+    # dft_at(s, nan) returned nan+nanj
+    "delta": (
+        lambda tmp_path: check_delta(np.nan),
+        {
+            "dft_at": lambda tmp_path: dft_at([1.0, 2.0, 4.0, 3.0], np.nan),
+            "spectral_identity": lambda tmp_path: spectral_identity([1.0, 2.0, 4.0, 3.0], np.nan),
+        },
+    ),
+    "infinite delta": (
+        lambda tmp_path: check_delta(np.inf),
+        {
+            "dft_at": lambda tmp_path: dft_at([1.0, 2.0, 4.0, 3.0], np.inf),
+            "spectral_identity": lambda tmp_path: spectral_identity([1.0, 2.0, 4.0, 3.0], np.inf),
+        },
+    ),
+    # gen_sinusoid(0, 0.1) used to return an empty array
+    "sinusoid length": (
+        lambda tmp_path: gen_sinusoid(0, 0.1),
+        {"gen_sinusoid of frequencies": lambda tmp_path: gen_sinusoid(0, [0.1, 0.3])},
     ),
 }
 
@@ -207,6 +233,35 @@ def test_sinusoid_length_must_be_an_integer():
     """A length of 30.5 used to give 31 samples."""
     with pytest.raises(TypeError, match=r"^n must be an integer, got 30\.5$"):
         gen_sinusoid(30.5, 0.1)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_sinusoid_needs_a_sample(n):
+    """gen_sinusoid(-4, 0.1) used to return an empty array."""
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        gen_sinusoid(n, 0.1)
+
+
+# lambda is a real number: every caller that takes one, given a boolean
+LAMBDA_CALLERS = {
+    "StudyConfig": lambda value: StudyConfig(snr_values=(value, 0.4)),
+    "run_cell": lambda value: run_cell("normal", 30, value, 5, 20, 0.05, 1),
+    "random_composite": lambda value: random_composite("normal", 30, value, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [False, True, np.False_, np.True_], ids=["False", "True", "np-False", "np-True"]
+)
+@pytest.mark.parametrize("caller", list(LAMBDA_CALLERS))
+def test_lambda_must_not_be_a_boolean(caller, value):
+    """StudyConfig(snr_values=(False, 0.4)) used to write "lambda": false to
+    its results file."""
+    with pytest.raises(TypeError, match="^lambda must be a real number, got ") as expected:
+        check_snr(value)
+    with pytest.raises(TypeError) as raised:
+        LAMBDA_CALLERS[caller](value)
+    assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("integer", [int, np.int32, np.int64, np.uint64])
