@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--desk-scale", action="store_true",
                        help="small grid, seconds of runtime (default)")
     scale.add_argument("--full-scale", action="store_true",
-                       help="full reference grid; about 18 minutes on one core")
+                       help="full reference grid; about 14 minutes on one core")
     power.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     power.add_argument("--alpha", type=float, default=0.05,
                        help="significance level (default 0.05)")

@@ -35,8 +35,15 @@ def peak_moduli(spectra: np.ndarray, moduli: np.ndarray | None = None, out=None)
     """Each row's largest modulus over bins 1 .. n//2 of half spectra
     (:func:`transform`): by conjugate symmetry, over every non-zero
     frequency.  ``moduli``, a float array of the spectra's shape, receives
-    all moduli (bin 0 too), and ``out`` the peaks."""
-    return np.abs(spectra, out=moduli)[..., 1:].max(axis=-1, out=out)
+    the moduli |X_k| of bins k >= 1 and 0.0 at bin 0, which no modulus
+    falls below, so one ``np.maximum.reduceat`` over the flat moduli takes
+    every row's peak; ``out``, a 1-d float array of one element per row,
+    receives the peaks."""
+    moduli = np.abs(spectra, out=moduli)
+    moduli[..., 0] = 0.0
+    flat = moduli.reshape(-1)
+    peaks = np.maximum.reduceat(flat, np.arange(0, flat.size, moduli.shape[-1]), out=out)
+    return peaks.reshape(moduli.shape[:-1])[()]
 
 
 def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleBuffers):
@@ -49,13 +56,14 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
     scale for all tests may be a scalar).
 
     A tile of rows at a time is gathered into held float rows, each row's
-    positions offset by ``t*n`` into the flattened units, and transformed
-    like an observed series.  A tile takes at most ``TILE_BYTES`` of float
-    rows, and at most as many bytes as all of ``positions``: 26 rows (1 MiB)
-    at n=5000, M=1000, but 543 rows (128 KiB) of a first power-study round
-    of 4,350 rows at n=30.  Each tile's peaks are :func:`peak_moduli` of
-    its spectrum.  Each row's transform is independent of its tile, so the
-    tiling changes no bit.  The tile and its spectrum are taken from
+    positions offset by ``t*n`` into the flattened units (the offsets of
+    all rows are computed once per call, not once per tile), and
+    transformed like an observed series.  A tile takes at most
+    ``TILE_BYTES`` of float rows, and at most as many bytes as all of
+    ``positions``: 26 rows (1 MiB) at n=5000, M=1000, but 543 rows
+    (128 KiB) of a first power-study round of 4,350 rows at n=30.  Each
+    tile's peaks are :func:`peak_moduli` of its spectrum.  Each row's
+    transform is independent of its tile, so the tiling changes no bit.  The tile and its spectrum are taken from
     ``buffers``, and the index lives in the spectrum's memory, as ``take``
     has consumed it before the transform writes there.
     """
@@ -70,12 +78,13 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
     # 8n bytes a row, within the spectrum's 16 * (n//2 + 1)
     index = spectra.reshape(-1).view(np.intp)[: per_tile * n].reshape(per_tile, n)
     flat = units.reshape(-1)
+    offsets = (np.arange(rows) // size * n)[:, None]  # row r permutes units[r // size]
     peaks = np.empty(rows)
     for low in range(0, rows, per_tile):
         high = min(low + per_tile, rows)
         at, tile = index[: high - low], gathered[: high - low]
         at[...] = positions[low:high]
-        at += (np.arange(low, high) // size * n)[:, None]  # row r permutes units[r // size]
+        at += offsets[low:high]
         # "clip" skips take's buffered bounds check: positions are in range
         flat.take(at, out=tile, mode="clip")
         spectrum = transform(tile, spectra[: high - low])

@@ -32,8 +32,8 @@ from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
 
 _DISTRIBUTION_IDS = {name: index + 1 for index, name in enumerate(DISTRIBUTIONS)}
 
-# Full reference grid; about 18 min on one core of a shared Xeon VM (a
-# K=500 run of every cell took 54 s).
+# Full reference grid; about 14 min on one core of a shared Xeon VM (a
+# K=500 run of every cell took 41-43 s).
 FULL_SCALE = dict(
     n_values=(30, 60, 120, 240),
     snr_values=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),

@@ -170,7 +170,13 @@ def permutation_rows(n: int, row_seeds: np.ndarray, buffers: ShuffleBuffers) -> 
     depends on its seed alone.  The modulo draw carries a bias below
     ``n / 2**64``, many orders of magnitude under anything observable.
     The draws are made a block of steps at a time, DRAW_BLOCK_BYTES of
-    them, and each block is swapped before the next is drawn.
+    them, and each block is swapped before the next is drawn.  A block's
+    draws are reduced by exact integer floor division, ``draw - (draw //
+    (i+1)) * (i+1)``.  Its arithmetic runs with numpy's ufunc buffer set
+    to 16 elements, so numpy does not buffer several steps of more rows
+    together, and each step's bound i+1 stays a scalar in its inner loop,
+    which divides by multiply and shift; the caller's buffer size is
+    restored on return.
     The positions are of :func:`position_type`, so each step's random
     reads and writes span a quarter (n <= 65,536) or an eighth (n <= 256)
     of the bytes of float values; a caller gathers its values from them.
@@ -204,12 +210,19 @@ def permutation_rows(n: int, row_seeds: np.ndarray, buffers: ShuffleBuffers) -> 
     )
     for first in range(1, n, steps_per_block):
         draw = np.arange(first, min(first + steps_per_block, n), dtype=_U64)[:, None]
-        targets = block[: draw.size]
-        np.add(seeds, _GOLDEN_U64 * draw, out=targets)  # stream counters
-        _mix64_inplace(targets, scratch[: draw.size])
-        targets %= _U64(n + 1) - draw  # i + 1, for step i = n - draw
-        targets *= _U64(rows)
-        targets += lanes  # the flat index j*rows + m of column m's swap
+        targets, quotients = block[: draw.size], scratch[: draw.size]
+        bounds = _U64(n + 1) - draw  # i + 1, for step i = n - draw
+        # a 16-element buffer keeps each step's bound a scalar in numpy's
+        # inner loop; errstate restores the caller's buffer size on exit
+        with np.errstate():
+            np.setbufsize(16)
+            np.add(seeds, _GOLDEN_U64 * draw, out=targets)  # stream counters
+            _mix64_inplace(targets, quotients)
+            np.floor_divide(targets, bounds, out=quotients)
+            quotients *= bounds
+            targets -= quotients  # the draw mod i + 1
+            targets *= _U64(rows)
+            targets += lanes  # the flat index j*rows + m of column m's swap
         for i, target in zip(range(n - first, 0, -1), targets.view(np.intp)):
             # the method skips np.take's dispatch, and "clip" its buffered
             # bounds check: every index is in range by construction

@@ -75,6 +75,42 @@ def test_observed_msis_are_the_identity_rows_of_one_batch(n):
     assert observed.tolist() == batch.tolist()
 
 
+def peak_cases(n):
+    """Half spectra of length n, one row per case: a transform, then its
+    peak moved to bin 1, to the last (Nyquist for even n) bin, tied across
+    bins, and a bin 0 larger than every other modulus."""
+    base = kernels.transform(np.random.default_rng(n).standard_normal(n))
+    first, last, tied, zero = (base.copy() for _ in range(4))
+    first[1] = 1e3 * (0.6 + 0.8j)
+    last[-1] = -1e3 if n % 2 == 0 else 1e3j
+    tied[:] = 0.5 * base / np.abs(base).max()
+    tied[1], tied[-1] = 3 + 4j, -4 + 3j  # modulus 5 both
+    zero[0] = 1e6
+    return np.stack([base, first, last, tied, zero])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 30, 31])
+def test_peak_moduli_match_a_python_max_over_the_non_zero_bins(n):
+    """The peak of each row, alone (1-d) or in a batch (2-d), is Python's
+    max of |X_k| over k = 1 .. n//2, bin 0's modulus ignored however large;
+    the moduli hold |X_k| for k >= 1 and 0.0 at bin 0."""
+    spectra = peak_cases(n)
+    original = spectra.copy()
+    # numpy's complex modulus, one element at a time: Python's abs (hypot)
+    # can differ from it in the last bit
+    expected_moduli = [[0.0] + [float(np.abs(x)) for x in row[1:]] for row in spectra]
+    expected = [max(row[1:]) for row in expected_moduli]
+    assert expected[1] == expected[2] == 1e3 and expected[3] == 5.0
+    moduli, out = np.full(spectra.shape, np.nan), np.full(len(spectra), np.nan)
+    peaks = kernels.peak_moduli(spectra, moduli, out=out)
+    assert peaks.tolist() == out.tolist() == expected and moduli.tolist() == expected_moduli
+    assert kernels.peak_moduli(spectra).tolist() == expected
+    for row, peak, row_moduli in zip(spectra, expected, expected_moduli):
+        single = np.full(row.shape, np.nan)
+        assert kernels.peak_moduli(row, single) == peak and single.tolist() == row_moduli
+    np.testing.assert_array_equal(spectra, original)
+
+
 def record_tiles(monkeypatch) -> list[int]:
     """The number of rows of each tile null_msi transforms, in order."""
     tiles, transform = [], kernels.transform

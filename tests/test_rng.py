@@ -182,12 +182,23 @@ def test_permutation_rows_follow_the_fisher_yates_oracle(n, draw_block_bytes, mo
 
 def test_permutation_rows_follow_the_oracle_across_default_draw_blocks():
     """1003 rows of n=240: the default block holds 32 of the 239 steps, so
-    the last block is partial."""
-    seeds = np.concatenate([ORACLE_SEEDS[:2], rng.substream_seeds(5, 1001)])
-    assert (240 - 1) % (rng.DRAW_BLOCK_BYTES // (8 * seeds.size)) != 0
-    rows = shuffle(240, seeds)
-    for row, seed in zip(rows, seeds.tolist()):
-        np.testing.assert_array_equal(row, fisher_yates(240, seed))
+    the last block is partial.  At n=17, 1, 4,096 and 4,097 rows lie on
+    both sides of numpy's default ufunc buffer of 8,192 elements, which
+    holds two steps of 4,096 rows but not of 4,097.  Under numpy's
+    default buffer size and under a caller's own, the rows follow the
+    oracle, and the caller's buffer size is what it was before the call."""
+    assert (240 - 1) % (rng.DRAW_BLOCK_BYTES // (8 * 1003)) != 0
+    for bufsize in (None, 64):
+        for n, count in ((240, 1003), (17, 1), (17, 4096), (17, 4097)):
+            seeds = np.concatenate([ORACLE_SEEDS[:2], rng.substream_seeds(5, count)])[:count]
+            with np.errstate():
+                if bufsize is not None:
+                    np.setbufsize(bufsize)
+                before = np.getbufsize()
+                rows = shuffle(n, seeds)
+                assert np.getbufsize() == before
+            for row, seed in zip(rows.tolist(), seeds.tolist()):
+                assert row == fisher_yates(n, seed), (bufsize, n, count)
 
 
 # (n, rows) of one call: lengths on both sides of 256, where the positions
