@@ -26,8 +26,8 @@ from . import __version__
 from .errors import CsvParseError
 from .permutation import PermutationPlan, check_confidence, simulate_null, summarize_test
 from .plotting import render_plot
-from .power import StudyConfig, desk_scale_config, full_scale_config, render_table, run_grid
-from .report import render_report, write_report
+from .power import StudyConfig, desk_scale_config, full_scale_config, run_grid, save_table
+from .report import render_report, write_report, write_text
 from .series import TimeSeries
 from .signals import DISTRIBUTIONS, CompositeSeries, random_composite
 from .spectral import analyze_spectrum
@@ -191,8 +191,7 @@ def _exit_on_sigterm(signum, frame):
 def _cmd_power_study(args, config: StudyConfig) -> int:
     # The ETA weighs each test by its length n, which its cost roughly
     # follows, and assumes the rest of the grid runs at the rate so far.
-    cells_per_n = len(config.distributions) * len(config.snr_values)
-    work_left = cells_per_n * config.replicates * sum(config.n_values)
+    work_left = config.replicates * sum(n for _, n, _ in config.grid())
     tests = work_done = 0
     started = time.perf_counter()
 
@@ -221,9 +220,9 @@ def _cmd_power_study(args, config: StudyConfig) -> int:
     partial = f"{args.out}.partial"
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
-        with open(partial, "w", encoding="utf-8", newline="\n") as handle:
-            table = run_grid(config, progress=progress)
-            handle.write(render_table(table))
+        open(partial, "w").close()
+        table = run_grid(config, progress=progress)
+        save_table(table, partial)
         os.replace(partial, args.out)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):  # open() failed before creating it
@@ -244,8 +243,7 @@ def _cmd_simulate(args, composite: CompositeSeries) -> int:
     lines = [repr(float(value)) for value in composite.series.values]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        write_text(args.out, text)
         sys.stdout.write(
             f"wrote n={args.n} {args.distribution} series "
             f"(snr={args.snr:g}, frequency={composite.signal.frequency:.6f}) to {args.out}\n"

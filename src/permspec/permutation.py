@@ -237,6 +237,7 @@ def wilson_interval(
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, {trials}], got {successes}")
     check_confidence(confidence)
+    successes, trials = int(successes), int(trials)  # numpy integers would wrap in 4 * trials**2
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials

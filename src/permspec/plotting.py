@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permutation import NullDistribution, TestResult
+from .report import write_text
 from .spectral import SpectrumAnalysis
 
 
@@ -218,5 +219,4 @@ def render_plot(
 ) -> None:
     """Write the two-panel test plot for one finished test run."""
     model = build_plot_model(result, null, analysis)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_plot_svg(model))
+    write_text(path, render_plot_svg(model))

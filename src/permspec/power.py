@@ -11,8 +11,10 @@ in the grid, so cells can be computed in any order.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .permutation import (
     decision_group,
     wilson_interval,
 )
-from .report import field_map, from_record, parse_object, parse_tagged, to_record
+from .report import field_map, from_record, parse_object, parse_tagged, to_record, write_text
 from .rng import ShuffleBuffers, check_integer, check_seed, seed_chain
 from .series import spread_rows
 from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
@@ -50,6 +52,15 @@ def check_replicates(replicates: int) -> None:
     check_integer("replicates", replicates)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+
+
+def _check_settings(replicates, permutations, alpha, confidence, seed) -> None:
+    """The checks of the test settings that a grid and each of its cells share."""
+    check_replicates(replicates)
+    check_permutations(permutations)
+    check_alpha(alpha)
+    check_confidence(confidence)
+    check_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -83,18 +94,16 @@ class StudyConfig:
                 raise ValueError(f"duplicate {label} values in {values}")
         for snr in self.snr_values:
             check_snr(snr)
-        check_replicates(self.replicates)
-        check_permutations(self.permutations)
-        check_alpha(self.alpha)
-        check_confidence(self.confidence)
-        check_seed(self.master_seed)
+        _check_settings(
+            self.replicates, self.permutations, self.alpha, self.confidence, self.master_seed
+        )
+
+    def grid(self):
+        """The grid's ``(distribution, n, snr)`` cells, in run order."""
+        return itertools.product(self.distributions, self.n_values, self.snr_values)
 
     def cell_seed(self, distribution: str, n: int, snr: float) -> int:
-        if (
-            distribution not in self.distributions
-            or n not in self.n_values
-            or snr not in self.snr_values
-        ):
+        if (distribution, n, snr) not in self.grid():
             raise ValueError(f"no cell ({distribution!r}, n={n}, lambda={snr}) in the grid")
         return seed_chain(
             self.master_seed, _DISTRIBUTION_IDS[distribution], n, self.snr_values.index(snr)
@@ -167,11 +176,7 @@ def run_cell(
     """
     spec = NoiseSpec(distribution, n)
     check_snr(snr)
-    check_replicates(replicates)
-    check_permutations(permutations)
-    check_alpha(alpha)
-    check_confidence(confidence)
-    check_seed(cell_seed)
+    _check_settings(replicates, permutations, alpha, confidence, cell_seed)
     rejections = 0
     block = decision_group(n, permutations)
     if buffers is None:
@@ -209,23 +214,21 @@ def run_grid(config: StudyConfig, progress=None) -> PowerTable:
     faults them in anew.
     """
     cells, buffers = [], ShuffleBuffers()
-    for distribution in config.distributions:
-        for n in config.n_values:
-            for snr in config.snr_values:
-                cell = run_cell(
-                    distribution,
-                    n,
-                    snr,
-                    config.replicates,
-                    config.permutations,
-                    config.alpha,
-                    config.cell_seed(distribution, n, snr),
-                    config.confidence,
-                    buffers,
-                )
-                if progress is not None:
-                    progress(cell)
-                cells.append(cell)
+    for distribution, n, snr in config.grid():
+        cell = run_cell(
+            distribution,
+            n,
+            snr,
+            config.replicates,
+            config.permutations,
+            config.alpha,
+            config.cell_seed(distribution, n, snr),
+            config.confidence,
+            buffers,
+        )
+        if progress is not None:
+            progress(cell)
+        cells.append(cell)
     return PowerTable(config=config, cells=tuple(cells))
 
 
@@ -248,14 +251,12 @@ def render_table(table: PowerTable) -> str:
 
 
 def save_table(table: PowerTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_table(table))
+    write_text(path, render_table(table))
 
 
 def load_table(path) -> PowerTable:
     """Parse a results file back into a PowerTable, validating the schema."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle.read().splitlines() if line.strip()]
+    lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty results file")
     header = parse_tagged(lines[0], POWER_SCHEMA, "results")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -48,9 +49,14 @@ def render_report(result: TestResult) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=np.generic.item) + "\n"
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``"\\n"`` line ends on every
+    platform: the one writer of reports, results files, plots and series."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
 def write_report(result: TestResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_report(result))
+    write_text(path, render_report(result))
 
 
 def parse_object(text: str, what: str) -> dict:
@@ -78,5 +84,4 @@ def parse_report(text: str) -> TestResult:
 
 
 def read_report(path) -> TestResult:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_report(handle.read())
+    return parse_report(Path(path).read_text(encoding="utf-8"))

@@ -30,8 +30,11 @@ from permspec import (
     wilson_interval,
 )
 from permspec.cli import main
+from permspec.kernels import msi_scale
+from permspec.permutation import count_rejections
 from permspec.power import render_table
-from permspec.rng import philox_generator
+from permspec.rng import ShuffleBuffers, philox_generator
+from permspec.series import spread_rows
 
 from oracles import exhaustive_null_msi
 
@@ -226,6 +229,79 @@ def test_permutation_size_holds_t2():
     report("permutation test holds its size (t2 noise, n=31)",
            abs(cell.power - ALPHA) <= NULL_TOLERANCE,
            f"size {cell.power:.4f}, 95% interval [{cell.wilson_low:.4f}, {cell.wilson_high:.4f}]")
+
+
+def _fisher_critical_g(u: float, m: int) -> float:
+    """The smallest float g with fisher_p_value(g, m) <= u, by bisection:
+    Fisher's tail never increases with g, so one search serves every value."""
+    low, high = 1.0 / m, 1.0  # the tail is 1 at g = 1/m and 0 at g = 1
+    while True:
+        middle = (low + high) / 2
+        if middle in (low, high):
+            return high
+        if fisher_p_value(middle, m) <= u:
+            high = middle
+        else:
+            low = middle
+
+
+def test_simulated_null_is_fishers_law_at_odd_n():
+    """The whole null pipeline against an exact target that shares no code
+    with it.  A permutation drawn independently of an iid normal series
+    leaves it iid normal, so at odd n each simulated g = MSI**2 / m, with
+    m = (n-1)/2, has Fisher's law: P(g >= g*(u)) = u, where g*(u) is where
+    Fisher's tail falls to u.  The band is taken from the spread of each
+    series' fraction, as the M values of one series are not independent.
+    n=31 shuffles uint8 positions and n=257 uint16 ones."""
+    series_count, permutations = 400, 50
+    details, ok = [], True
+    for n, tag in ((31, 21), (257, 22)):
+        m = (n - 1) // 2
+        spec = NoiseSpec("normal", n)
+        g = np.array([
+            simulate_null(
+                gen_noise(spec, philox_generator(tag, i, 0)), PermutationPlan(i, permutations)
+            ).msi_values
+            for i in range(series_count)
+        ]) ** 2 / m
+        for u in (0.5, 0.1, 0.05, 0.01):
+            fractions = (g >= _fisher_critical_g(u, m)).mean(axis=1)
+            error = fractions.std(ddof=1) / math.sqrt(series_count)
+            z = (fractions.mean() - u) / error
+            ok = ok and abs(z) <= 4
+            details.append(f"n={n} u={u:g}: {fractions.mean():.4f} (z = {z:+.2f})")
+    report("simulated null of g is Fisher's law (normal noise, odd n)", ok, ", ".join(details))
+
+
+def _ar1_rows(phi: float, n: int, count: int, tag: int, burn_in: int = 100) -> np.ndarray:
+    """``count`` normal AR(1) series x[t] = phi * x[t-1] + e[t] of length n,
+    each started at 0 and kept after ``burn_in`` steps."""
+    shocks = philox_generator(tag).standard_normal((count, burn_in + n))
+    rows = np.empty((count, burn_in + n))
+    level = np.zeros(count)
+    for t in range(burn_in + n):
+        level = phi * level + shocks[:, t]
+        rows[:, t] = level
+    return rows[:, burn_in:]
+
+
+def test_autocorrelated_noise_is_rejected():
+    """The null hypothesis is exchangeability, not the absence of a
+    periodic signal: AR(1) noise with no signal at all is rejected at the
+    nominal rate when phi = 0 and most of the time when phi = 0.6.
+    count_rejections decides as run_test does, test for test."""
+    n, count, permutations = 240, 200, 200
+    rates, ok = [], True
+    for phi, tag in ((0.0, 23), (0.6, 24)):
+        units, variances, _ = spread_rows(_ar1_rows(phi, n, count, tag))
+        seeds = np.arange(count, dtype=np.uint64)
+        rejections = count_rejections(
+            units, msi_scale(n, variances), seeds, permutations, ALPHA, ShuffleBuffers()
+        )
+        low, high = wilson_interval(rejections, count, 0.999)
+        ok = ok and (low <= ALPHA <= high if phi == 0.0 else low > 0.5)
+        rates.append(f"phi={phi:g}: {rejections / count:.3f} [{low:.3f}, {high:.3f}]")
+    report("AR(1) noise rejected as not exchangeable (n=240)", ok, ", ".join(rates))
 
 
 def test_parseval_identity_1000_series():

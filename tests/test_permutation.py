@@ -359,6 +359,16 @@ class TestWilsonInterval:
         assert widths == sorted(widths, reverse=True)
         assert widths[-1] < 0.03
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint16])
+    def test_narrow_numpy_counts_give_the_python_interval(self, dtype):
+        """Counts of a narrow numpy type, which the checks accept, give the
+        bits of the same Python ints: 4 * trials**2 must not wrap."""
+        trials = np.iinfo(dtype).max // 2
+        for successes in (0, 3, trials // 3, trials):
+            got = wilson_interval(dtype(successes), dtype(trials), 0.95)
+            assert got == wilson_interval(successes, trials, 0.95)
+            assert all(type(bound) is float for bound in got)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             wilson_interval(-1, 10, 0.95)

@@ -504,6 +504,11 @@ class TestPersistence:
         path = tmp_path / "numpy.jsonl"
         save_table(table, path)
         assert load_table(path) == table
+        # a uint8 K is too narrow for the Wilson bounds' 4 * K**2
+        narrow = dict(n_values=(30,), snr_values=(0.0,), permutations=20)
+        narrow_table = run_grid(desk_scale_config(1, replicates=np.uint8(200), **narrow))
+        python_table = run_grid(desk_scale_config(1, replicates=200, **narrow))
+        assert render_table(narrow_table) == render_table(python_table)
 
     def test_float_fields_round_trip_exactly(self, tmp_path):
         table = run_grid(tiny_config(replicates=7, permutations=11))

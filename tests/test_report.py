@@ -63,3 +63,11 @@ def test_numpy_integers_write_the_python_report():
     text = render_report(result)
     assert text == render_report(run_test(series, PermutationPlan(5, 3)))
     assert parse_report(text) == result
+
+
+def test_narrow_numpy_count_writes_the_python_report():
+    """M as a uint16, too narrow for the Wilson bounds' 4 * M**2, writes the
+    bytes of the Python int."""
+    series = np.random.default_rng(1).standard_normal(60)
+    text = render_report(run_test(series, PermutationPlan(1, np.uint16(1000))))
+    assert text == render_report(run_test(series, PermutationPlan(1, 1000)))
