@@ -23,6 +23,16 @@ from .rng import ShuffleBuffers
 # a gather 7-9% and 11-18% faster.
 TILE_BYTES = 1 << 20
 
+# The bytes of a cache line.  The shuffle's matrix holds the lanes (rows
+# of positions) side by side, so a tile narrower than a line reads part of
+# every line it fetches, 52 bytes of uint16 at n=5,000, and null_msi widens
+# its index from a block of whole tiles spanning a line: 36 ms a call at
+# n=5,000, M=1,000, against 44-47 ms tile by tile.  Blocks of two lines
+# were about as fast there, but slower than tile by tile, by up to 1.8x,
+# at n=30,000-50,000; with one-lane tiles (uint32 positions) a block was
+# up to 1.5x slower and took 8-15 MiB more.
+CACHE_LINE = 64
+
 
 def transform(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised DFT of real rows along the last axis: the half spectrum,
@@ -46,6 +56,16 @@ def peak_moduli(spectra: np.ndarray, moduli: np.ndarray | None = None, out=None)
     return peaks.reshape(moduli.shape[:-1])[()]
 
 
+def stages_index(n: int, dtype) -> bool:
+    """Whether :func:`null_msi` widens the index of positions of ``dtype``
+    at length n through a block of lanes: when a full tile, ``TILE_BYTES``
+    of float rows, has more than one lane but spans less than a cache line
+    of each row of positions.  With uint16 positions that is n > 4,096;
+    with uint8 (n <= 256) and uint32 (one-lane tiles) no n."""
+    lanes = TILE_BYTES // (8 * n)
+    return 1 < lanes and lanes * np.dtype(dtype).itemsize < CACHE_LINE
+
+
 def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleBuffers):
     """MSIs of permuted copies of centred series, as a ``(tests, size)`` array.
 
@@ -63,9 +83,15 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
     ``positions``: 26 rows (1 MiB) at n=5000, M=1000, but 543 rows
     (128 KiB) of a first power-study round of 4,350 rows at n=30.  Each
     tile's peaks are :func:`peak_moduli` of its spectrum.  Each row's
-    transform is independent of its tile, so the tiling changes no bit.  The tile and its spectrum are taken from
-    ``buffers``, and the index lives in the spectrum's memory, as ``take``
-    has consumed it before the transform writes there.
+    transform is independent of its tile, so the tiling changes no bit.
+    The tile and its spectrum are taken from ``buffers``, and the index
+    lives in the spectrum's memory, as ``take`` has consumed it before the
+    transform writes there.  Where :func:`stages_index` holds (n > 4,096
+    with uint16 positions), the positions of a block of lanes, the fewest
+    whole tiles spanning a cache line of each row of the shuffle's matrix
+    (52 rows, 0.5 MiB, at n=5000), are first copied into a ``"stage"``
+    array from ``buffers``, laid out like that matrix, and each tile's
+    index is widened from it; the index holds the same numbers either way.
     """
     tests, n = units.shape
     rows = len(positions)
@@ -80,10 +106,21 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
     flat = units.reshape(-1)
     offsets = (np.arange(rows) // size * n)[:, None]  # row r permutes units[r // size]
     peaks = np.empty(rows)
+    stage = None
+    if stages_index(n, positions.dtype):
+        # whole tiles, spanning a cache line or more of each row
+        block = min(rows, per_tile * -(-CACHE_LINE // (per_tile * positions.itemsize)))
+        stage = buffers.take("stage", (n, block), positions.dtype)
     for low in range(0, rows, per_tile):
         high = min(low + per_tile, rows)
         at, tile = index[: high - low], gathered[: high - low]
-        at[...] = positions[low:high]
+        if stage is None:
+            at[...] = positions[low:high]
+        else:
+            start = low % block  # the tile's first lane in the block
+            if start == 0:
+                stage[:, : min(block, rows - low)] = positions[low : low + block].T
+            at[...] = stage[:, start : start + high - low].T
         at += offsets[low:high]
         # "clip" skips take's buffered bounds check: positions are in range
         flat.take(at, out=tile, mode="clip")

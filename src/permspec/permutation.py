@@ -129,8 +129,10 @@ def exceedance_count(observed_msi: float, null: NullDistribution) -> int:
     """Number of simulated MSI values >= the observed one, ties included.
 
     Values within ``TIE_TOLERANCE`` below count as tied: rearrangements
-    that leave the MSI unchanged (reversal, cyclic shifts, swaps of equal
-    values) reach it through a different rounding order.
+    that leave the MSI unchanged reach it through a different rounding
+    order.  Those are swaps of equal values and the affine maps t -> a*t +
+    b mod n with gcd(a, n) = 1, which permute the non-zero frequencies:
+    reversal is a = -1 and a cyclic shift a = 1.
     """
     return int(np.count_nonzero(null.msi_values >= _tie_threshold(observed_msi)))
 

@@ -129,7 +129,8 @@ def substream_seeds(base_seed, count: int, first: int = 0) -> np.ndarray:
 class ShuffleBuffers:
     """The large work arrays of a null round, held across calls: the
     working matrix and draw blocks of :func:`permutation_rows`, and the
-    gather tile and its spectrum of :func:`permspec.kernels.null_msi`.
+    gather tile, its spectrum and, for long series, the ``"stage"`` lane
+    block of :func:`permspec.kernels.null_msi`.
 
     A caller that shuffles and scores block after block of rows passes
     one of these to every call: each array is then allocated at the

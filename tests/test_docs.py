@@ -37,6 +37,19 @@ def _widths() -> str:
     return f"({', '.join(tops)}, {rng.position_type(2**16 + 1).name} beyond)"
 
 
+def _staged() -> str:
+    """The lengths whose gather index is widened through a lane block, and
+    a full tile at n=5,000, derived from TILE_BYTES, the cache line and
+    rng.position_type."""
+    dtype = rng.position_type(2**16)
+    top = kernels.TILE_BYTES * dtype.itemsize // (8 * kernels.CACHE_LINE)  # the last unstaged n
+    assert rng.position_type(top) == dtype == rng.position_type(top + 1)
+    assert not kernels.stages_index(top, dtype) and kernels.stages_index(top + 1, dtype)
+    lanes = kernels.TILE_BYTES // (8 * 5000)
+    return (f"less than a {kernels.CACHE_LINE}-byte cache line (n > {top:,} with {dtype.name} positions: "
+            f"{lanes} permutations, {lanes * dtype.itemsize} bytes, at n=5,000)")
+
+
 def test_engine_figures_follow_the_code():
     """Every figure README quotes for the null engine is derived from the
     constant or rule that sets it, so a retune cannot leave it stale."""
@@ -49,5 +62,6 @@ def test_engine_figures_follow_the_code():
         f"({decision_group(30, 200)} replicates of n=30, {decision_group(60, 200)} of n=60, at M=200)",
         f"narrowest unsigned type that holds them {_widths()}",
         f"narrowest unsigned type {_widths()}",
+        f"its strip spans {_staged()}",
     ]
     assert [figure for figure in figures if figure not in text] == []

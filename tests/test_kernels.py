@@ -158,21 +158,60 @@ def test_gathered_null_is_the_analysis_of_the_permuted_series(n, monkeypatch):
     intp, as wide as the float rows, which do not cap the tile).  Two tests
     share the call, so the second reads its values at offset n.  The values
     are integers summing to 0, so the centring and the variance of a
-    permuted series are exact and its unit deviations are the permuted ones."""
+    permuted series are exact and its unit deviations are the permuted ones.
+
+    At the default ``TILE_BYTES`` the uint16 positions of 140 rows, and a
+    C-contiguous copy of them, are widened through lane blocks of several
+    full tiles, the last block partial, and give the MSIs of their intp
+    copy, which is widened tile by tile, bit for bit.  Lane blocks serve
+    the lengths whose full tile has more than one lane and spans less than
+    a cache line of uint16 positions: not the desk and CLI sizes, nor the
+    one-lane tiles of uint32 positions.  The rule reads n and the position
+    type only; nothing is allocated."""
+    lengths = (30, 60, 240, 4096, 4097, 5000, 65536, 70000)
+    staged = [m for m in lengths if kernels.stages_index(m, rng.position_type(m))]
+    assert staged == [4097, 5000, 65536]
     generator = np.random.default_rng(n)
     series = generator.integers(-40, 41, (2, n)).astype(float)
     series[:, 0] -= series.sum(axis=1)
     spreads = [TimeSeries(values).spread() for values in series]
     units = np.stack([unit for unit, _, _ in spreads])
     scales = np.array([kernels.msi_scale(n, variance) for _, variance, _ in spreads])
+    tiles = record_tiles(monkeypatch)
+    many = rng.permutation_rows(n, rng.substream_seeds(n + 1, 140), rng.ShuffleBuffers())
+    assert many.dtype == np.uint16 and kernels.stages_index(n, many.dtype)
+    assert not kernels.stages_index(n, np.intp)
+    lanes = kernels.TILE_BYTES // (8 * n)  # a full tile: the positions pass TILE_BYTES
+    whole = kernels.null_msi(units, many.astype(np.intp), scales, rng.ShuffleBuffers())
+    for order in (many, np.ascontiguousarray(many)):
+        tiles.clear()
+        buffers, taken = recorded_buffers()
+        assert kernels.null_msi(units, order, scales, buffers).tobytes() == whole.tobytes()
+        assert tiles == [lanes] * (140 // lanes) + [140 % lanes]
+        (block,) = {shape[1] for name, shape in taken if name == "stage"}
+        assert block % lanes == 0 and block // lanes >= 2 and 140 % block
+        assert block * many.itemsize >= kernels.CACHE_LINE > (block - lanes) * many.itemsize
     seeds = rng.substream_seeds(n, 4)
     positions = rng.permutation_rows(n, seeds, rng.ShuffleBuffers())
     wide = positions.astype(np.intp)
     expected = [[analyze_spectrum(values[order]).msi for order in positions[2 * t : 2 * t + 2]]
                 for t, values in enumerate(series)]
-    tiles = record_tiles(monkeypatch)
     for order, tile_bytes, rows in ((positions, 1, [1] * 4), (wide, 8 * n * 4, [4])):
         tiles.clear()
         monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
         assert kernels.null_msi(units, order, scales, rng.ShuffleBuffers()).tolist() == expected
         assert tiles == rows
+
+
+def recorded_buffers():
+    """Shuffle buffers, and the list of each (name, shape) taken from them."""
+    taken, buffers = [], rng.ShuffleBuffers()
+    take = buffers.take
+
+    def recorded(name, shape, dtype):
+        taken.append((name, shape))
+        return take(name, shape, dtype)
+
+    buffers.take = recorded
+    return buffers, taken
+

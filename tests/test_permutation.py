@@ -257,6 +257,14 @@ class TestPValue:
             assert p_value(observed, null) in {0.0, 0.25, 0.5, 0.75, 1.0}
 
 
+def affine_map(n: int) -> np.ndarray:
+    """t -> a*t + b mod n for t = 0 .. n-1, with the smallest a >= 2
+    coprime to n and b = n // 3: an exact symmetry of the MSI, which
+    permutes the non-zero frequencies and turns each bin's phase."""
+    a = next(a for a in range(2, n + 1) if math.gcd(a, n) == 1)
+    return (a * np.arange(n) + n // 3) % n
+
+
 class TestTies:
     """Rearrangements that leave the MSI mathematically unchanged count as
     exceedances of the observed value, whatever their rounding."""
@@ -268,8 +276,9 @@ class TestTies:
             lambda order: order[::-1],
             lambda order: np.roll(order, 1),
             lambda order: np.roll(order, len(order) // 3),
+            lambda order: order[affine_map(len(order))],
         ],
-        ids=["identity", "reversal", "shift-1", "shift-third"],
+        ids=["identity", "reversal", "shift-1", "shift-third", "affine"],
     )
     def test_tied_rearrangement_is_an_exceedance(self, rearrange):
         generator = np.random.default_rng(31)
