@@ -123,6 +123,19 @@ def record_tiles(monkeypatch) -> list[int]:
     return tiles
 
 
+def recorded_buffers():
+    """Shuffle buffers, and the list of each (name, shape) taken from them."""
+    taken, buffers = [], rng.ShuffleBuffers()
+    take = buffers.take
+
+    def recorded(name, shape, dtype):
+        taken.append((name, shape))
+        return take(name, shape, dtype)
+
+    buffers.take = recorded
+    return buffers, taken
+
+
 @pytest.mark.parametrize("kind", ["real", "counts"])
 def test_tiles_change_no_bit(kind, monkeypatch):
     """Shuffled positions, a strided view, of a group of three tests give
@@ -201,17 +214,3 @@ def test_gathered_null_is_the_analysis_of_the_permuted_series(n, monkeypatch):
         monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
         assert kernels.null_msi(units, order, scales, rng.ShuffleBuffers()).tolist() == expected
         assert tiles == rows
-
-
-def recorded_buffers():
-    """Shuffle buffers, and the list of each (name, shape) taken from them."""
-    taken, buffers = [], rng.ShuffleBuffers()
-    take = buffers.take
-
-    def recorded(name, shape, dtype):
-        taken.append((name, shape))
-        return take(name, shape, dtype)
-
-    buffers.take = recorded
-    return buffers, taken
-
