@@ -35,7 +35,7 @@ from .spectral import analyze_spectrum
 
 def _column_index(column: str | int) -> int | None:
     """The 0-based index that ``column`` selects, or None for a header name."""
-    if isinstance(column, int) or column.lstrip("-").isdigit():
+    if isinstance(column, int) or column.lstrip("-").isdecimal():
         index = int(column)
         if index < 0:
             raise ValueError(f"column index must be >= 0, got {index}")
@@ -62,26 +62,23 @@ def ingest_csv(path, column: str | int = 0) -> TimeSeries:
         raise CsvParseError(str(path), 1, "file contains no data")
 
     index = _column_index(column)
-    name = column if index is None else None
-
-    start = 0
     first_number, first_row = rows[0]
-    if name is not None:
+    if index is None:
         header = [cell.strip() for cell in first_row]
-        if name not in header:
+        if column not in header:
             raise CsvParseError(
-                str(path), first_number, f"column {name!r} not found in header {header}"
+                str(path), first_number, f"column {column!r} not found in header {header}"
             )
-        index = header.index(name)
-        start = 1
+        index = header.index(column)
+        del rows[0]
     elif index < len(first_row):  # a missing cell is reported at its row below
         try:
             float(first_row[index])
         except ValueError:
-            start = 1  # first row is a header; data begins below it
+            del rows[0]  # first row is a header; data begins below it
 
     values = []
-    for row_number, row in rows[start:]:
+    for row_number, row in rows:
         if index >= len(row):
             raise CsvParseError(
                 str(path), row_number, f"row has no column {index}"
@@ -127,9 +124,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="small grid, seconds of runtime (default)")
     scale.add_argument("--full-scale", action="store_true",
                        help="full reference grid; about 14 minutes on one core")
-    power.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    power.add_argument("--alpha", type=float, default=0.05,
-                       help="significance level (default 0.05)")
+    power.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
+                       help=f"master seed (default {StudyConfig.master_seed})")
+    power.add_argument("--alpha", type=float,
+                       help=f"significance level (default {StudyConfig.alpha})")
     power.add_argument("--replicates", type=int, metavar="K",
                        help="override replicates per cell")
     power.add_argument("--permutations", type=int, metavar="M",
@@ -173,13 +171,11 @@ def _cmd_test(args, plan: PermutationPlan) -> int:
 
 
 def _study_config(args) -> StudyConfig:
+    # only the flags given; StudyConfig and the scale's grid own every default
     factory = full_scale_config if args.full_scale else desk_scale_config
-    overrides = {"alpha": args.alpha}
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.permutations is not None:
-        overrides["permutations"] = args.permutations
-    return factory(master_seed=args.seed, **overrides)
+    flags = ("master_seed", "alpha", "replicates", "permutations")
+    given = {name: getattr(args, name) for name in flags}
+    return factory(**{name: value for name, value in given.items() if value is not None})
 
 
 def _exit_on_sigterm(signum, frame):
@@ -191,17 +187,16 @@ def _exit_on_sigterm(signum, frame):
 def _cmd_power_study(args, config: StudyConfig) -> int:
     # The ETA weighs each test by its length n, which its cost roughly
     # follows, and assumes the rest of the grid runs at the rate so far.
-    work_left = config.replicates * sum(n for _, n, _ in config.grid())
+    work = config.replicates * sum(n for _, n, _ in config.grid())
     tests = work_done = 0
     started = time.perf_counter()
 
     def progress(cell):
-        nonlocal tests, work_done, work_left
+        nonlocal tests, work_done
         elapsed = max(time.perf_counter() - started, 1e-9)
         tests += cell.replicates
         work_done += cell.replicates * cell.n
-        work_left -= cell.replicates * cell.n
-        eta = timedelta(seconds=round(elapsed * work_left / work_done))
+        eta = timedelta(seconds=round(elapsed * (work - work_done) / work_done))
         sys.stdout.write(
             f"{cell.distribution:>6}  n={cell.n:<4d} lambda={cell.snr:<4g} "
             f"power={cell.power:.4f}  [{cell.wilson_low:.4f}, {cell.wilson_high:.4f}]  "
@@ -216,7 +211,11 @@ def _cmd_power_study(args, config: StudyConfig) -> int:
     if os.path.isdir(args.out):
         raise IsADirectoryError(f"--out names a directory: {args.out}")
     # SIGTERM, as from `timeout` or a batch system, exits through the same
-    # cleanup, also while open() is creating the partial file.
+    # cleanup, also while open() is creating the partial file.  The first
+    # import of numpy.random, which the first cell would make, ignores an
+    # exception raised while Cython registers its memoryview types, and so
+    # would lose a SIGTERM acted on there: it is made before the handler.
+    import numpy.random  # noqa: F401
     partial = f"{args.out}.partial"
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:

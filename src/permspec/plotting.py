@@ -126,8 +126,8 @@ def _tag(name: str, body: str | None = None, **attributes) -> str:
     return f"<{opening}/>" if body is None else f"<{opening}>{body}</{name}>"
 
 
-def _axis_ticks(top: float, count: int = 5) -> list[float]:
-    return [top * i / count for i in range(count + 1)]
+def _axis_ticks(top: float) -> list[float]:
+    return [top * i / 5 for i in range(6)]
 
 
 def render_plot_svg(model: PlotModel) -> str:
@@ -179,7 +179,7 @@ def render_plot_svg(model: PlotModel) -> str:
                           width=bar_width, height=plot_bottom - top, fill=_BAR_COLOR))
     parts.append(_tag("line", x1=left_x, y1=plot_bottom, x2=left_x + left_width,
                       y2=plot_bottom, stroke="black"))
-    for tick in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
+    for tick in _axis_ticks(0.5):
         tx = fx_px(tick)
         parts.append(_tag("line", x1=tx, y1=plot_bottom, x2=tx, y2=plot_bottom + 4, stroke="black"))
         parts.append(_tag("text", _fmt(tick), x=tx, y=plot_bottom + 18, text_anchor="middle"))

@@ -16,7 +16,13 @@ import numpy as np
 from .rng import check_integer, check_seed, philox_generators
 from .series import TimeSeries, check_length
 
-DISTRIBUTIONS = ("normal", "t2")
+# Each noise family's draw of n values, the one place a family is defined.
+# Append only: a power-study cell seed keys a family by its place here.
+_DRAWS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "t2": lambda rng, n: rng.standard_t(2, size=n),
+}
+DISTRIBUTIONS = tuple(_DRAWS)
 
 
 def check_snr(snr: float) -> None:
@@ -66,9 +72,7 @@ class CompositeSeries:
 
 def gen_noise(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw one noise vector from the spec's distribution."""
-    if spec.distribution == "normal":
-        return rng.standard_normal(spec.n)
-    return rng.standard_t(2, size=spec.n)
+    return _DRAWS[spec.distribution](rng, spec.n)
 
 
 def gen_sinusoid(n: int, frequency, amplitude: float = 1.0) -> np.ndarray:

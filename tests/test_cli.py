@@ -12,7 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from permspec import PowerTable, cli, load_table, read_report, run_cell
+from permspec import (
+    PowerTable,
+    cli,
+    desk_scale_config,
+    load_table,
+    read_report,
+    run_cell,
+    run_grid,
+    save_table,
+)
 from permspec.cli import ingest_csv, main
 from permspec.errors import CsvParseError
 
@@ -101,6 +110,15 @@ class TestIngestCsv:
         path = tmp_path / "data.csv"
         path.write_bytes(b"\xef\xbb\xbfx\n1.5\n2.0\n3.5\n")
         assert ingest_csv(path, column="x").values.tolist() == [1.5, 2.0, 3.5]
+
+    def test_header_name_of_non_decimal_digits(self, tmp_path, capsys):
+        """"²" is a digit to str.isdigit but not a number to int(): it names
+        a header column, in the library and on the command line."""
+        path = tmp_path / "data.csv"
+        path.write_text("t,²\n1,0.5\n2,1.5\n3,0.25\n4,2.0\n", encoding="utf-8")
+        assert ingest_csv(path, column="²").values.tolist() == [0.5, 1.5, 0.25, 2.0]
+        assert main(["test", str(path), "--column", "²", "--permutations", "20"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 4
 
 
 class TestTestCommand:
@@ -200,15 +218,45 @@ class TestPowerStudyCommand:
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_full_scale_results_file_pinned(self, tmp_path):
-        """K=20 of the full grid: M=1000 and n up to 240, so a cell's rounds
-        shuffle MBs of rows; every rejection count, and so the file, is a
-        pure function of the seed."""
-        out = tmp_path / "full.jsonl"
-        assert main(["power-study", "--full-scale", "--replicates", "20", "--seed", "5",
-                     "--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "c835e0a8d33a8a0cae6ae205aec208ccfa44a52bcf72672f00cd6ea3ad7b00e7"
+    DESK = "9c628eb3c2d27280351bb96a00ae54fb93e24706ce8a187b518edd718cb3f5b3"
+
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            ([], DESK),
+            (["--seed", "0"], DESK),
+            (["--seed", "5", "--replicates", "47", "--permutations", "60"],
+             "4baf82782c64afe109e56d3cab92946e456af4b3153b117b82100260f83bd2ee"),
+            (["--full-scale", "--replicates", "20", "--seed", "5"],
+             "c835e0a8d33a8a0cae6ae205aec208ccfa44a52bcf72672f00cd6ea3ad7b00e7"),
+        ],
+        ids=["desk-defaults", "desk", "desk-K47", "full-scale-K20"],
+    )
+    def test_results_file_pinned(self, flags, digest, tmp_path):
+        """Every rejection count, and so the file, is a pure function of the
+        seed.  With no flags the desk grid runs at seed 0.  K=47 ends each
+        cell in a partial block of replicates.  K=20 of the full grid has
+        M=1000 and n up to 240, so a cell's rounds shuffle MBs of rows."""
+        out = tmp_path / "p.jsonl"
+        assert main(["power-study", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_given_flags_are_forwarded(self, tmp_path):
+        out, expected = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main(["power-study", "--seed", "3", "--alpha", "0.1", "--replicates", "20",
+                     "--permutations", "50", "--out", str(out)]) == 0
+        assert json.loads(out.read_text().splitlines()[0])["alpha"] == 0.1
+        config = desk_scale_config(3, alpha=0.1, replicates=20, permutations=50)
+        save_table(run_grid(config), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_help_states_the_study_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["power-study", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "[--seed SEED]" in text
+        assert "--seed SEED master seed (default 0)" in text
+        assert "--alpha ALPHA significance level (default 0.05)" in text
 
     @staticmethod
     def no_grid(*args, **kwargs):
@@ -297,6 +345,34 @@ class TestPowerStudyCommand:
             run.kill()
         assert out.read_text() == "earlier results\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["out.jsonl"]
+
+    def test_terminated_inside_the_first_numpy_random_import(self, tmp_path):
+        """A SIGTERM acted on inside numpy.random's first import is not lost.
+        Cython's set-up code there ignores any exception raised while it
+        registers its memoryview types with collections.abc.Sequence, so
+        that import comes before the handler is installed.  Here each such
+        registration made while the handler is installed sends a SIGTERM."""
+        out = tmp_path / "out.jsonl"
+        child = "\n".join([
+            "import abc, collections.abc, os, signal, sys",
+            "from permspec import cli",
+            "register = abc.ABCMeta.register",
+            "def terminating_register(cls, subclass):",
+            "    handler = signal.getsignal(signal.SIGTERM)",
+            "    if cls is collections.abc.Sequence and handler is cli._exit_on_sigterm:",
+            "        print('sent', flush=True)",
+            "        os.kill(os.getpid(), signal.SIGTERM)",
+            "    return register(cls, subclass)",
+            "abc.ABCMeta.register = terminating_register",
+            "sys.exit(cli.main(['power-study', '--replicates', '2', '--permutations', '10',",
+            f"                  '--out', {str(out)!r}]))",
+        ])
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == (143 if "sent" in done.stdout else 0), done.stderr
+        assert list(tmp_path.iterdir()) == ([] if done.returncode else [out])
 
 
 def test_import_leaves_numpy_polynomial_unloaded():

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from permspec import (
+    DISTRIBUTIONS,
     NoiseSpec,
+    StudyConfig,
     analyze_spectrum,
+    full_scale_config,
     gen_noise,
     gen_sinusoid,
     normalize_magnitude,
@@ -43,6 +46,26 @@ class TestGenNoise:
             NoiseSpec("cauchy", 10)
         with pytest.raises(ValueError):
             NoiseSpec("normal", 2)
+
+    def test_each_family_is_its_numpy_draw(self):
+        """No family falls back to another's draw: each is numpy's own
+        sampler, on a generator keyed as gen_noise's."""
+        draws = {
+            "normal": lambda generator: generator.standard_normal(40),
+            "t2": lambda generator: generator.standard_t(2, size=40),
+        }
+        assert tuple(draws) == DISTRIBUTIONS
+        for name in DISTRIBUTIONS:
+            np.testing.assert_array_equal(
+                gen_noise(NoiseSpec(name, 40), philox_generator(11)),
+                draws[name](philox_generator(11)),
+            )
+
+    def test_study_grids_name_their_families(self):
+        """The desk and full-scale grids keep normal and t2 when a family is
+        appended to DISTRIBUTIONS, so their cells and pins stay put."""
+        assert StudyConfig().distributions == ("normal", "t2")
+        assert full_scale_config(0).distributions == ("normal", "t2")
 
 
 class TestGenSinusoid:
