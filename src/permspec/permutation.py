@@ -4,9 +4,10 @@ The null hypothesis is exchangeability of the observations.  Random
 permutations of the observed series simulate the null distribution of
 the maximum scaled intensity (MSI); the p-value is the fraction of
 simulated MSI values at or above the observed one.  Many tests that only
-need their decision at one level share :func:`count_rejections`.  Both
-it and :func:`simulate_null` draw the null through one function,
-``_null_round``, the only place simulations are shuffled and scored.
+need their decision at one level, and may share their permutations,
+share :func:`count_rejections`.  Both it and :func:`simulate_null` draw
+the null through one function, ``_null_round``, the only place
+simulations are shuffled and scored.
 """
 
 from __future__ import annotations
@@ -23,17 +24,21 @@ from .spectral import SpectrumAnalysis, analyze_spectrum
 # Relative tie tolerance of the exceedance count, as in scipy.stats.permutation_test.
 TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
 
-# The budget of a null round in bytes of the positions it shuffles, read by
-# ``_round_rows`` alone: memory stays flat in the number of permutations, and
+# The budget of a null round in bytes of the positions of the rows it
+# gathers, read by ``_round_rows`` alone: one test's simulate_null shuffles
+# that many rows, and a group of tests sharing one round's shuffled rows
+# gathers as many.  Memory stays flat in the number of permutations, and
 # M=1000 rows of n=5000 take one block.  A round's fixed cost, a few numpy
-# calls per Fisher-Yates step, is spread over the 4,369 rows of n=30 that
-# fill DECISION_ROUND_BYTES; 64 KiB lost most of that gain, and 256 KiB
-# gained little more for a larger peak memory.
+# calls per Fisher-Yates step and per gather tile, is spread over the 4,369
+# rows of n=30 that fill DECISION_ROUND_BYTES; when each test shuffled rows
+# of its own, 64 KiB lost most of that gain, and 256 KiB gained little more
+# for a larger peak memory.
 ROW_BLOCK_BYTES = 16 << 20
 DECISION_ROUND_BYTES = 128 << 10
 
 # Each round of count_rejections shuffles the next DECISION_BLOCK
-# simulations of every undecided test of a group in one engine call.
+# simulations once, and scores them on every undecided test of a group in
+# one engine call.
 DECISION_BLOCK = 25
 
 
@@ -109,13 +114,14 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     return NullDistribution(msi_values=values, plan=plan)
 
 
-def _null_round(units, scales, master_seeds, first: int, size: int, buffers: rng.ShuffleBuffers):
+def _null_round(units, scales, master_seed: int, first: int, size: int, buffers: rng.ShuffleBuffers):
     """The ``(tests, size)`` null MSIs of simulations ``first .. first + size
     - 1`` of each test i, which permute ``units[i]`` in substreams of
-    ``master_seeds[i]`` and score it with ``scales[i]`` (scalars for one test).
-    Positions are shuffled, and the kernel gathers the values from them."""
+    ``master_seed`` and score it with ``scales[i]`` (a scalar for one test).
+    The ``size`` rows of positions are shuffled once, and the kernel
+    gathers every test's values from them."""
     n = units.shape[1]
-    row_seeds = rng.substream_seeds(master_seeds, size, first).reshape(-1)
+    row_seeds = rng.substream_seeds(master_seed, size, first)
     positions = rng.permutation_rows(n, row_seeds, buffers)
     return kernels.null_msi(units, positions, scales, buffers)
 
@@ -156,9 +162,12 @@ def _p_value_of(exceedances, permutations: int):
 
 def _round_rows(n: int, permutations: int) -> int:
     """The one memory rule of the null: a round holds the rows of ``n``
-    shuffled positions (:func:`rng.position_type`) that fill
+    positions (:func:`rng.position_type`) that fill
     ``DECISION_ROUND_BYTES``, or all M rows where that is more, up to
-    ``ROW_BLOCK_BYTES``, and at least one row."""
+    ``ROW_BLOCK_BYTES``, and at least one row.  One test's
+    :func:`simulate_null` shuffles that many rows a block; a group of
+    :func:`count_rejections` gathers that many from its round's shared
+    rows."""
     # Python ints: a numpy n or M may be too narrow for bytes
     row_bytes = int(n) * rng.position_type(n).itemsize
     budget = min(max(DECISION_ROUND_BYTES, int(permutations) * row_bytes), ROW_BLOCK_BYTES)
@@ -168,21 +177,22 @@ def _round_rows(n: int, permutations: int) -> int:
 def decision_group(n: int, permutations: int) -> int:
     """How many tests of length ``n`` one :func:`count_rejections` call
     should hold: enough that its first round, ``min(DECISION_BLOCK, M)``
-    simulations of each, fills the ``_round_rows`` rows that also block
-    one test's :func:`simulate_null`: 174 tests of n=30 and 87 of n=60 at
-    M=200."""
+    shared simulations scored on each, gathers the ``_round_rows`` rows
+    that one test's :func:`simulate_null` shuffles a block: 174 tests of
+    n=30 and 87 of n=60 at M=200."""
     return max(1, _round_rows(n, permutations) // min(DECISION_BLOCK, int(permutations)))
 
 
 def count_rejections(
-    units, scales, master_seeds, permutations: int, alpha: float, buffers: rng.ShuffleBuffers
+    units, scales, master_seed: int, permutations: int, alpha: float, buffers: rng.ShuffleBuffers
 ) -> int:
     """How many of a group of tests of one length reject at level
-    ``alpha``: those whose :func:`run_test` with ``PermutationPlan(seed,
-    permutations)`` gives p_value <= alpha.  Test i is given by its unit
-    deviations ``units[i]`` (:meth:`TimeSeries.spread`), its
-    :func:`kernels.msi_scale` ``scales[i]`` and its uint64
-    ``master_seeds[i]``; :func:`decision_group` sizes a group.
+    ``alpha``: those whose :func:`run_test` with
+    ``PermutationPlan(master_seed, permutations)`` gives p_value <= alpha.
+    Test i is given by its unit deviations ``units[i]``
+    (:meth:`TimeSeries.spread`) and its :func:`kernels.msi_scale`
+    ``scales[i]``; every test draws its permutations from the one
+    ``master_seed``.  :func:`decision_group` sizes a group.
 
     The count is exact, but a test stops once the p-value rule settles its
     decision: b/M grows with b, so after b exceedances of ``done``
@@ -190,9 +200,9 @@ def count_rejections(
     and cannot if ``_p_value_of(b, M) > alpha``.  Simulation m of a test is
     a pure function of (master_seed, m), so the simulations it skips could
     not have changed it.  Each round, one ``_null_round`` call, shuffles
-    and scores the next block of simulations of every undecided test at
-    once, in ``buffers``, which a caller with many groups holds for all
-    their rounds; a round's shuffled positions fill at most the
+    the next block of simulations once and scores them on every undecided
+    test, in ``buffers``, which a caller with many groups holds for all
+    their rounds; the rows a round gathers fill at most the
     ``DECISION_ROUND_BYTES`` that :func:`decision_group` sizes a group by.
     Hence the simulations a test draws are the first ones of its
     :func:`simulate_null`, bit for bit.  The observed MSIs are the scaled
@@ -204,14 +214,14 @@ def count_rejections(
     rejections = done = 0
     while exceedances.size:
         size = min(DECISION_BLOCK, permutations - done)
-        null = _null_round(units, scales, master_seeds, done, size, buffers)
+        null = _null_round(units, scales, master_seed, done, size, buffers)
         exceedances += np.count_nonzero(null >= thresholds[:, None], axis=1)
         done += size
         rejected = _p_value_of(exceedances + (permutations - done), permutations) <= alpha
         undecided = ~rejected & (_p_value_of(exceedances, permutations) <= alpha)
         rejections += int(np.count_nonzero(rejected))
-        units, scales, master_seeds, thresholds, exceedances = (
-            values[undecided] for values in (units, scales, master_seeds, thresholds, exceedances)
+        units, scales, thresholds, exceedances = (
+            values[undecided] for values in (units, scales, thresholds, exceedances)
         )
     return rejections
 

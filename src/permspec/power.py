@@ -3,8 +3,10 @@
 Each cell runs K independent replicates (fresh noise and fresh random
 signal frequency every time), tests each at the given number of
 permutations, and counts p-values at or below the significance level.
-Only that decision is needed, so each test stops once it is settled
-(:func:`permutation.count_rejections`); the count stays exact.
+The replicates of a cell share one set of permutations, which is
+independent of every replicate's series.  Only the decision is needed, so
+each test stops once it is settled (:func:`permutation.count_rejections`);
+the count stays exact.
 Cell seeds are pure functions of the master seed and the cell's position
 in the grid, so cells can be computed in any order.
 """
@@ -34,17 +36,14 @@ from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
 
 _DISTRIBUTION_IDS = {name: index + 1 for index, name in enumerate(DISTRIBUTIONS)}
 
-# Full reference grid; about 14 min on one core of a shared Xeon VM (a
-# K=500 run of every cell took 41-43 s).
+# Full reference grid; an estimated 5 min on one core of a shared Xeon VM
+# (a K=500 run of every cell took 15.1-15.2 s).
 FULL_SCALE = dict(
     n_values=(30, 60, 120, 240),
     snr_values=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
     replicates=10_000,
     permutations=1_000,
 )
-
-# seed_chain's last component: a replicate's noise seed, then its test seed
-_ROLES = np.array([[0], [1]])
 
 
 def check_replicates(replicates: int) -> None:
@@ -167,29 +166,32 @@ def run_cell(
     """Estimate power for one cell; deterministic given ``cell_seed``.
 
     Replicate r is ``random_composite`` of noise seed ``seed_chain(cell_seed,
-    r, 0)`` tested with master seed ``seed_chain(cell_seed, r, 1)``.  The
-    replicates are made and decided a block of :func:`decision_group` at a
-    time, as arrays, so memory does not grow with their number and no
-    object is built per replicate.  Every round of the cell shuffles and
-    scores in ``buffers``, which a caller with many cells holds for all of
-    them (fresh ones without).  The blocks and the gather tiles of the
-    rounds change no count: a replicate's simulations are a pure function
-    of its seed and their index.
+    r, 0)`` tested with the cell's one test seed ``seed_chain(cell_seed,
+    1)``: a chain of two components, where every noise seed is a chain of
+    three.  The replicates thus share their permutations, which are
+    independent of each replicate's series, so each test keeps its size
+    (Hemerik & Goeman 2018, *TEST* 27:811); a round shuffles its rows once
+    for every replicate.  The replicates are made and decided a block of
+    :func:`decision_group` at a time, as arrays, so memory does not grow
+    with their number and no object is built per replicate.  Every round
+    of the cell shuffles and scores in ``buffers``, which a caller with
+    many cells holds for all of them (fresh ones without).  The blocks and
+    the gather tiles of the rounds change no count: a replicate's
+    simulations are a pure function of the test seed and their index.
     """
     spec = NoiseSpec(distribution, n)
     check_snr(snr)
     _check_settings(replicates, permutations, alpha, confidence, cell_seed)
     rejections = 0
-    block = decision_group(n, permutations)
+    block, test_seed = decision_group(n, permutations), seed_chain(cell_seed, 1)
     if buffers is None:
         buffers = ShuffleBuffers()  # the first round's arrays serve every later round
     for first in range(0, replicates, block):
         index = np.arange(first, min(first + block, replicates), dtype=np.uint64)
-        noise_seeds, test_seeds = seed_chain(cell_seed, index, _ROLES)
-        values, _, _ = composite_block(spec, snr, noise_seeds)
+        values, _, _ = composite_block(spec, snr, seed_chain(cell_seed, index, 0))
         units, variances, _ = spread_rows(values)
         rejections += count_rejections(
-            units, msi_scale(n, variances), test_seeds, permutations, alpha, buffers
+            units, msi_scale(n, variances), test_seed, permutations, alpha, buffers
         )
     low, high = wilson_interval(rejections, replicates, confidence)
     return PowerCell(
@@ -234,7 +236,7 @@ def run_grid(config: StudyConfig, progress=None) -> PowerTable:
     return PowerTable(config=config, cells=tuple(cells))
 
 
-POWER_SCHEMA = "permspec-power/1"
+POWER_SCHEMA = "permspec-power/2"
 
 # the header line and the cell records, each key named as its field
 # unless renamed here

@@ -115,15 +115,16 @@ def wilson_interval_mp(successes, trials, confidence, digits=40):
 
 def reference_cell_tests(distribution, n, snr, replicates, permutations, cell_seed):
     """The full test of every replicate of a power cell: replicate r is the
-    series of noise seed (cell_seed, r, 0), tested by ``run_test`` at
-    master seed (cell_seed, r, 1) with all ``permutations`` simulations.
-    The cell rejects a replicate when its ``p_value <= alpha``."""
+    series of noise seed (cell_seed, r, 0), tested by ``run_test`` with all
+    ``permutations`` simulations at the cell's one master seed
+    (cell_seed, 1), which every replicate shares.  The cell rejects a
+    replicate when its ``p_value <= alpha``."""
     from permspec import PermutationPlan, random_composite, run_test
     from permspec.rng import seed_chain
 
+    plan = PermutationPlan(master_seed=seed_chain(cell_seed, 1), n_permutations=permutations)
     results = []
     for replicate in range(replicates):
         composite = random_composite(distribution, n, snr, seed=seed_chain(cell_seed, replicate, 0))
-        plan = PermutationPlan(master_seed=seed_chain(cell_seed, replicate, 1), n_permutations=permutations)
         results.append(run_test(composite.series, plan))
     return results

@@ -63,7 +63,7 @@ NULL_TOLERANCE = 0.03
 
 # sha256 of the desk grid's results text: every cell's rejection count is a
 # pure function of its seed, so any change of it is a change of the table
-DESK_TABLE_SHA256 = "ddbcfe3f56f8eedb3a1ac422474ecda712fb42727617bd3816ae063446bb72e3"
+DESK_TABLE_SHA256 = "a8325aa59cb055d877d263b78b0ea70d6b30e911d174fcea3ba7ebc406376d95"
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -231,6 +231,36 @@ def test_permutation_size_holds_t2():
            f"size {cell.power:.4f}, 95% interval [{cell.wilson_low:.4f}, {cell.wilson_high:.4f}]")
 
 
+def test_shared_permutations_do_not_overdisperse_the_count():
+    """A power cell's replicates share one set of permutations, so their
+    decisions are independent only given that set.  Were the set to move a
+    cell's rejection rate, the counts of many cells would vary more than
+    binomially.  300 null cells (normal noise, n=30, K=200, M=99, cell
+    seeds 0 .. 299) each reject a replicate with probability exactly
+    (floor(alpha*M) + 1) / (M + 1) = 0.05.  The sample variance of their
+    counts, over its binomial value K * 0.05 * 0.95, must lie in the
+    central 99.9% of its law for 300 independent binomial counts, from
+    20,000 Monte Carlo draws (about chi-square on 288 degrees of freedom,
+    over 288: 0.75 to 1.31)."""
+    cells, replicates, permutations = 300, 200, 99
+    size = (math.floor(ALPHA * permutations) + 1) / (permutations + 1)
+    assert size == ALPHA
+    buffers = ShuffleBuffers()
+    counts = np.array([
+        run_cell("normal", 30, 0.0, replicates, permutations, ALPHA, seed, buffers=buffers).rejections
+        for seed in range(cells)
+    ])
+    binomial = replicates * size * (1 - size)
+    generator = np.random.default_rng(0)
+    ratios = np.concatenate([
+        generator.binomial(replicates, size, (2000, cells)).var(axis=1, ddof=1) for _ in range(10)
+    ]) / binomial
+    low, high = np.quantile(ratios, [0.0005, 0.9995])
+    ratio = counts.var(ddof=1) / binomial
+    report("shared permutations keep the count binomial (300 null cells)", low <= ratio <= high,
+           f"variance / binomial {ratio:.3f}, band [{low:.3f}, {high:.3f}], size {counts.mean() / replicates:.4f}")
+
+
 def _fisher_critical_g(u: float, m: int) -> float:
     """The smallest float g with fisher_p_value(g, m) <= u, by bisection:
     Fisher's tail never increases with g, so one search serves every value."""
@@ -289,14 +319,15 @@ def test_autocorrelated_noise_is_rejected():
     """The null hypothesis is exchangeability, not the absence of a
     periodic signal: AR(1) noise with no signal at all is rejected at the
     nominal rate when phi = 0 and most of the time when phi = 0.6.
-    count_rejections decides as run_test does, test for test."""
+    count_rejections decides as run_test does, test for test, with the
+    permutations of one master seed that the series share, as a power
+    cell's replicates do."""
     n, count, permutations = 240, 200, 200
     rates, ok = [], True
     for phi, tag in ((0.0, 23), (0.6, 24)):
         units, variances, _ = spread_rows(_ar1_rows(phi, n, count, tag))
-        seeds = np.arange(count, dtype=np.uint64)
         rejections = count_rejections(
-            units, msi_scale(n, variances), seeds, permutations, ALPHA, ShuffleBuffers()
+            units, msi_scale(n, variances), tag, permutations, ALPHA, ShuffleBuffers()
         )
         low, high = wilson_interval(rejections, count, 0.999)
         ok = ok and (low <= ALPHA <= high if phi == 0.0 else low > 0.5)

@@ -58,7 +58,8 @@ def test_engine_figures_follow_the_code():
         f"at most {_sized(ROW_BLOCK_BYTES)} of shuffled positions",
         f"at most {_sized(kernels.TILE_BYTES)} of float rows",
         f"shuffling the next {DECISION_BLOCK} permutations",
-        f"that call with {_sized(DECISION_ROUND_BYTES)} of shuffled positions",
+        f"make that call gather {_sized(DECISION_ROUND_BYTES)} of positions",
+        f"or {_sized(kernels.SMALL_TILE_BYTES)} where that is more",
         f"({decision_group(30, 200)} replicates of n=30, {decision_group(60, 200)} of n=60, at M=200)",
         f"narrowest unsigned type that holds them {_widths()}",
         f"narrowest unsigned type {_widths()}",

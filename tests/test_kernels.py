@@ -57,10 +57,11 @@ def test_observed_msi_is_the_identity_row_of_the_null(kind):
 
 @pytest.mark.parametrize("n", [31, 64])
 def test_observed_msis_are_the_identity_rows_of_one_batch(n):
-    """One null_msi call over the identity positions of 50 different series,
-    normal and t2, with one scale per series, gives each series' observed
-    MSI bit for bit, and so does the peak of one transform of all 50 (the
-    power study scores a group of replicates this way)."""
+    """One null_msi call over one row of identity positions, which 50
+    different series share, normal and t2, with one scale per series, gives
+    each series' observed MSI bit for bit, and so does the peak of one
+    transform of all 50 (the power study scores a group of replicates this
+    way)."""
     series = [
         random_composite(("normal", "t2")[seed % 2], n, 0.25 * (seed % 5), seed).series
         for seed in range(50)
@@ -68,7 +69,7 @@ def test_observed_msis_are_the_identity_rows_of_one_batch(n):
     spreads = [ts.spread() for ts in series]
     units = np.stack([unit for unit, _, _ in spreads])
     scales = np.array([kernels.msi_scale(n, variance) for _, variance, _ in spreads])
-    identity = np.broadcast_to(np.arange(n), units.shape)
+    identity = np.arange(n)[None]
     batch = kernels.null_msi(units, identity, scales, rng.ShuffleBuffers())[:, 0]
     assert batch.tolist() == [analyze_spectrum(ts).msi for ts in series]
     observed = kernels.peak_moduli(kernels.transform(units)) * scales
@@ -112,11 +113,13 @@ def test_peak_moduli_match_a_python_max_over_the_non_zero_bins(n):
 
 
 def record_tiles(monkeypatch) -> list[int]:
-    """The number of rows of each tile null_msi transforms, in order."""
+    """The number of rows of each tile null_msi transforms into its held
+    spectrum, in order; observed series are transformed into a fresh one."""
     tiles, transform = [], kernels.transform
 
     def recorded(values, out=None):
-        tiles.append(len(values))
+        if out is not None:
+            tiles.append(len(values))
         return transform(values, out)
 
     monkeypatch.setattr(kernels, "transform", recorded)
@@ -138,28 +141,42 @@ def recorded_buffers():
 
 @pytest.mark.parametrize("kind", ["real", "counts"])
 def test_tiles_change_no_bit(kind, monkeypatch):
-    """Shuffled positions, a strided view, of a group of three tests give
-    the same MSIs bit for bit in one tile, in tiles of 12 rows (the 5,100
-    bytes of uint8 positions cap a tile at 5,100 bytes of float rows), of
-    7 rows (which split tests, the last one partial) and of one row.
-    Positions of intp, as wide as the float rows, make the one tile."""
+    """Three tests sharing 34 shuffled rows, a strided view, give the same
+    MSIs bit for bit in one tile of all 102 gathered rows, in tiles of two
+    whole tests then one, in runs of 12 rows of each test (once
+    ``SMALL_TILE_BYTES`` allows no more, the 5,100 bytes of uint8 positions
+    cap a tile at 5,100 bytes of float rows), in runs of 7 rows (the last
+    of each test partial) and in one-row tiles.  Positions of intp, as
+    wide as the float rows, make the one tile.  Each test's MSIs are those
+    of a call that scores it alone."""
     generator = np.random.default_rng(9)
     spreads = [TimeSeries(readings(kind, 50, generator)).spread() for _ in range(3)]
     units = np.stack([unit for unit, _, _ in spreads])
     scales = np.array([kernels.msi_scale(50, variance) for _, variance, _ in spreads])
-    seeds = rng.substream_seeds(9, 3 * 34)
-    positions = rng.permutation_rows(50, seeds, rng.ShuffleBuffers())
+    positions = rng.permutation_rows(50, rng.substream_seeds(9, 34), rng.ShuffleBuffers())
     assert positions.dtype == np.uint8
     buffers = rng.ShuffleBuffers()
     tiles = record_tiles(monkeypatch)
     whole = kernels.null_msi(units, positions.astype(np.intp), scales, buffers)
     assert whole.shape == (3, 34)
     assert tiles == [102]
-    for tile_bytes, rows in ((kernels.TILE_BYTES, 12), (7 * 50 * 8, 7), (1, 1)):
+    for t in range(3):
+        alone = kernels.null_msi(units[t : t + 1], positions, scales[t], buffers)
+        assert alone.tobytes() == whole[t].tobytes(), t
+    cases = (
+        ({}, [102]),
+        ({"TILE_BYTES": 2 * 34 * 50 * 8}, [68, 34]),
+        ({"SMALL_TILE_BYTES": 1}, [12, 12, 10] * 3),
+        ({"TILE_BYTES": 7 * 50 * 8}, [7, 7, 7, 7, 6] * 3),
+        ({"TILE_BYTES": 1}, [1] * 102),
+    )
+    for constants, rows in cases:
         tiles.clear()
-        monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
-        assert kernels.null_msi(units, positions, scales, buffers).tobytes() == whole.tobytes(), rows
-        assert tiles == [rows] * (102 // rows) + [102 % rows] * (102 % rows > 0)
+        with monkeypatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(kernels, name, value)
+            assert kernels.null_msi(units, positions, scales, buffers).tobytes() == whole.tobytes(), constants
+        assert tiles == rows, constants
 
 
 @pytest.mark.parametrize("n", [4999, 5003, 7919, 10007, 10000])
@@ -169,14 +186,14 @@ def test_gathered_null_is_the_analysis_of_the_permuted_series(n, monkeypatch):
     positions equal ``analyze_spectrum`` of each permuted series bit for
     bit, with one row per tile and all rows in one tile (from positions of
     intp, as wide as the float rows, which do not cap the tile).  Two tests
-    share the call, so the second reads its values at offset n.  The values
+    share the call's rows, and the second reads its values at offset n.  The values
     are integers summing to 0, so the centring and the variance of a
     permuted series are exact and its unit deviations are the permuted ones.
 
     At the default ``TILE_BYTES`` the uint16 positions of 140 rows, and a
     C-contiguous copy of them, are widened through lane blocks of several
-    full tiles, the last block partial, and give the MSIs of their intp
-    copy, which is widened tile by tile, bit for bit.  Lane blocks serve
+    full tiles, the last block partial, for each test in turn, and give the
+    MSIs of their intp copy, which is widened tile by tile, bit for bit.  Lane blocks serve
     the lengths whose full tile has more than one lane and spans less than
     a cache line of uint16 positions: not the desk and CLI sizes, nor the
     one-lane tiles of uint32 positions.  The rule reads n and the position
@@ -200,15 +217,13 @@ def test_gathered_null_is_the_analysis_of_the_permuted_series(n, monkeypatch):
         tiles.clear()
         buffers, taken = recorded_buffers()
         assert kernels.null_msi(units, order, scales, buffers).tobytes() == whole.tobytes()
-        assert tiles == [lanes] * (140 // lanes) + [140 % lanes]
+        assert tiles == ([lanes] * (140 // lanes) + [140 % lanes]) * 2
         (block,) = {shape[1] for name, shape in taken if name == "stage"}
         assert block % lanes == 0 and block // lanes >= 2 and 140 % block
         assert block * many.itemsize >= kernels.CACHE_LINE > (block - lanes) * many.itemsize
-    seeds = rng.substream_seeds(n, 4)
-    positions = rng.permutation_rows(n, seeds, rng.ShuffleBuffers())
+    positions = rng.permutation_rows(n, rng.substream_seeds(n, 2), rng.ShuffleBuffers())
     wide = positions.astype(np.intp)
-    expected = [[analyze_spectrum(values[order]).msi for order in positions[2 * t : 2 * t + 2]]
-                for t, values in enumerate(series)]
+    expected = [[analyze_spectrum(values[order]).msi for order in positions] for values in series]
     for order, tile_bytes, rows in ((positions, 1, [1] * 4), (wide, 8 * n * 4, [4])):
         tiles.clear()
         monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)

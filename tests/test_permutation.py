@@ -161,6 +161,34 @@ class TestSimulateNull:
             tracemalloc.stop()
         assert peak < 2 * positions_bytes, peak
 
+    def test_long_series_holds_the_same_arrays(self, monkeypatch):
+        """The arrays a test holds at n=5000, M=1000, by name, shape and
+        dtype: the (n, M) uint16 working matrix, the shuffle's two 256 KiB
+        draw blocks, a 1 MiB tile of 26 float rows, its spectrum, and the
+        lane block of 52 rows, two tiles spanning a cache line of uint16
+        positions.  Another array, or a larger one, would move the peak
+        memory of every long test."""
+        made = []
+
+        class Recorded(rng.ShuffleBuffers):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(rng, "ShuffleBuffers", Recorded)
+        values = np.random.default_rng(2).standard_t(2, 5000)
+        simulate_null(values, PermutationPlan(master_seed=5, n_permutations=1000))
+        (buffers,) = made
+        held = sorted((name, dtype.name, array.shape) for (name, dtype), array in buffers._held.items())
+        assert held == [
+            ("draw scratch", "uint64", (32_768,)),
+            ("draws", "uint64", (32_768,)),
+            ("stage", "uint16", (5000 * 52,)),
+            ("tile", "float64", (26 * 5000,)),
+            ("tile spectrum", "complex128", (26 * 2501,)),
+            ("work", "uint16", (5000 * 1000,)),
+        ]
+
     def test_degenerate_series_propagates(self):
         with pytest.raises(DegenerateSeriesError):
             simulate_null([2.0, 2.0, 2.0], PermutationPlan(master_seed=0, n_permutations=5))
@@ -181,36 +209,37 @@ class TestSimulateNull:
 @st.composite
 def split_null_rounds(draw):
     """A group of 1-5 tests of one length n with tied values (rounded to
-    0 or 1 decimals), their master seeds, M, and a split of [0, M) into
-    rounds, as the bounds 0 < ... < M."""
+    0 or 1 decimals), the master seed they share, M, and a split of [0, M)
+    into rounds, as the bounds 0 < ... < M."""
     tests, n, m = draw(st.integers(1, 5)), draw(st.integers(3, 40)), draw(st.integers(1, 60))
     values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((tests, n))
     values = np.round(2 * values, draw(st.integers(0, 1)))
     values[:, 0] = np.abs(values).max() + 1  # never constant
-    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=tests, max_size=tests))
+    seed = draw(st.integers(0, 2**64 - 1))
     cuts = draw(st.sets(st.integers(1, m - 1), max_size=8)) if m > 1 else set()
-    return values, seeds, m, [0, *sorted(cuts), m]
+    return values, seed, m, [0, *sorted(cuts), m]
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(split_null_rounds())
 def test_any_split_into_rounds_gives_simulate_nulls_values(case):
     """count_rejections' rounds and simulate_null's blocks share one
-    function: however simulations 0..M-1 of a group of tests are split
-    into rounds, all in one set of buffers, each test's concatenated round
-    MSIs are its simulate_null values bit for bit."""
-    values, seeds, m, bounds = case
+    function: however simulations 0..M-1 of a group of tests sharing one
+    master seed are split into rounds, all in one set of buffers, each
+    test's concatenated round MSIs are its simulate_null values bit for
+    bit."""
+    values, seed, m, bounds = case
     spreads = [TimeSeries(row).spread() for row in values]
     units = np.array([unit for unit, _, _ in spreads])
     scales = np.array([kernels.msi_scale(values.shape[1], variance) for _, variance, _ in spreads])
     buffers = rng.ShuffleBuffers()
     rounds = [
-        permutation._null_round(units, scales, np.array(seeds, dtype=np.uint64), first, stop - first, buffers)
+        permutation._null_round(units, scales, seed, first, stop - first, buffers)
         for first, stop in zip(bounds, bounds[1:])
     ]
     null = np.concatenate(rounds, axis=1)
     assert null.shape == (len(values), m)
-    for row, series, seed in zip(null, values, seeds):
+    for row, series in zip(null, values):
         expected = simulate_null(series, PermutationPlan(master_seed=seed, n_permutations=m)).msi_values
         assert row.tobytes() == expected.tobytes()
 
@@ -302,22 +331,20 @@ class TestTies:
         """count_rejections scores its observed MSIs by one transform of the
         units, not through the null's gather.  On tied data, where the tie
         threshold decides each exceedance, its count is still that of
-        run_test on each series, at a strict and a loose level."""
+        run_test on each series at the group's one master seed, at a strict
+        and a loose level."""
         generator = np.random.default_rng(17)
         counts = []
         for n in (12, 30, 61):
             values = self.TIED[kind](generator, (40, n))
             values = values[values.min(axis=1) < values.max(axis=1)]  # a constant row has no test
             units, variances, _ = spread_rows(values)
-            seeds = np.arange(len(values), dtype=np.uint64) + np.uint64(1000 * n)
+            seed = 1000 * n
             for m, alpha in ((60, 0.05), (99, 0.3)):
                 count = permutation.count_rejections(
-                    units, kernels.msi_scale(n, variances), seeds, m, alpha, rng.ShuffleBuffers()
+                    units, kernels.msi_scale(n, variances), seed, m, alpha, rng.ShuffleBuffers()
                 )
-                expected = sum(
-                    run_test(row, PermutationPlan(int(seed), m)).p_value <= alpha
-                    for row, seed in zip(values, seeds)
-                )
+                expected = sum(run_test(row, PermutationPlan(seed, m)).p_value <= alpha for row in values)
                 assert count == expected, (n, m, alpha)
                 counts.append(count)
         assert 0 < sum(counts) < 240  # decisions both ways

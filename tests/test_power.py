@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_cell_tests
+from test_kernels import record_tiles
 from permspec import (
     PowerTable,
     StudyConfig,
@@ -21,6 +22,7 @@ from permspec import (
     permutation,
     power,
     random_composite,
+    rng,
     run_cell,
     run_grid,
     save_table,
@@ -191,17 +193,50 @@ class TestBatching:
     @pytest.mark.parametrize("cell", CELLS)
     def test_counts_do_not_depend_on_the_batching(self, monkeypatch, cell):
         """One-test groups, groups of 7 (K is no multiple of 7, so the last
-        group is partial), all K in one group, and one-row tiles."""
+        group is partial), all K in one group, and one-row tiles.  A round
+        of M=100 gathers 25 rows of each test, so a tile of more rows holds
+        several tests: groups of 7 and of K have such tiles, one-test
+        groups none."""
         args = self.CELLS[cell]
         _, n, _, replicates, permutations, _, _ = args
-        assert replicates % 7
+        assert replicates % 7 and min(DECISION_BLOCK, permutations) == 25
         expected = run_cell(*args)
         for tests in (1, 7, replicates):
             with monkeypatch.context() as patch:
                 self.group(patch, tests, n, permutations)
+                tiles = record_tiles(patch)
                 assert run_cell(*args) == expected, tests
+                assert (max(tiles) > 25) == (tests > 1), (tests, max(tiles))
         monkeypatch.setattr(kernels, "TILE_BYTES", 1)
+        tiles = record_tiles(monkeypatch)
         assert run_cell(*args) == expected
+        assert set(tiles) == {1}
+
+    @pytest.mark.parametrize("permutations", [7, 100])
+    def test_a_round_shuffles_its_rows_once(self, monkeypatch, permutations):
+        """Each round shuffles one set of at most ``min(DECISION_BLOCK, M)``
+        rows, through ``rng.permutation_rows``, and the kernel gathers every
+        undecided test of the group from those very rows: the shuffled rows
+        are never one set per test.  60 replicates make one group."""
+        shuffled, scored = [], []
+        shuffle, null_msi = rng.permutation_rows, kernels.null_msi
+
+        def recorded_shuffle(n, seeds, buffers):
+            shuffled.append(len(seeds))
+            return shuffle(n, seeds, buffers)
+
+        def recorded_null_msi(units, positions, scales, buffers):
+            scored.append((len(units), len(positions)))
+            return null_msi(units, positions, scales, buffers)
+
+        monkeypatch.setattr(rng, "permutation_rows", recorded_shuffle)
+        monkeypatch.setattr(kernels, "null_msi", recorded_null_msi)
+        assert decision_group(30, permutations) >= 60
+        run_cell("t2", 30, 0.4, 60, permutations, 0.05, cell_seed=4)
+        block = min(DECISION_BLOCK, permutations)
+        assert shuffled and max(shuffled) <= block
+        assert [size for _, size in scored] == shuffled
+        assert scored[0] == (60, block)
 
 
 class TestBlockReplicates:
@@ -225,8 +260,9 @@ class TestBlockReplicates:
     def test_rows_are_the_one_series_replicates(self, monkeypatch, distribution, n, snr):
         """Every row equals ``random_composite(...).series.values`` bit for
         bit, its unit, variance and exponent equal ``TimeSeries.spread()``,
-        its scale is their msi_scale, and its test seed is
-        ``seed_chain(cell_seed, r, 1)``; K ends in a partial block."""
+        and its scale is their msi_scale; every block is tested at the
+        cell's one test seed ``seed_chain(cell_seed, 1)``, which no noise
+        seed equals.  K ends in a partial block."""
         permutations, cell_seed = 20, 77
         block = decision_group(n, permutations)
         replicates = 2 * block + 3 if block < 100 else block + 3
@@ -240,7 +276,8 @@ class TestBlockReplicates:
         values = np.concatenate([result[0] for _, result in blocks])
         units, variances, exponents = (np.concatenate(parts) for parts in zip(*(result for _, result in spreads)))
         scales = np.concatenate([args[1] for args, _ in decisions])
-        seeds = np.concatenate([args[2] for args, _ in decisions])
+        test_seed = seed_chain(cell_seed, 1)
+        assert [args[2] for args, _ in decisions] == [test_seed] * len(blocks)
         np.testing.assert_array_equal(np.concatenate([args[0] for args, _ in decisions]), units)
         for r in range(replicates):
             series = random_composite(distribution, n, snr, seed=seed_chain(cell_seed, r, 0)).series
@@ -249,7 +286,7 @@ class TestBlockReplicates:
             assert units[r].tobytes() == unit.tobytes()
             assert (variances[r], exponents[r]) == (variance, exponent)
             assert scales[r] == kernels.msi_scale(n, variance)
-            assert int(seeds[r]) == seed_chain(cell_seed, r, 1)
+            assert seed_chain(cell_seed, r, 0) != test_seed
 
     @pytest.mark.parametrize(
         "bad,message",
