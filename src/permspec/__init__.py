@@ -13,7 +13,6 @@ from .permutation import (
     NullDistribution,
     PermutationPlan,
     TestResult,
-    empirical_cdf,
     exceedance_count,
     p_value,
     run_test,
@@ -46,22 +45,13 @@ from .signals import (
     random_composite,
 )
 from .spectral import (
-    AutocorrelationProfile,
     SpectrumAnalysis,
     analyze_spectrum,
-    autocorrelation_profile,
-    autocovariance,
-    center,
-    chebyshev_t,
-    dft_at,
     fisher_g,
     fisher_p_value,
-    spectral_identity,
-    unitary_dft_matrix,
 )
 
 __all__ = [
-    "AutocorrelationProfile",
     "CompositeSeries",
     "CsvParseError",
     "DISTRIBUTIONS",
@@ -79,14 +69,8 @@ __all__ = [
     "TimeSeries",
     "analyze_spectrum",
     "as_time_series",
-    "autocorrelation_profile",
-    "autocovariance",
     "build_plot_model",
-    "center",
-    "chebyshev_t",
     "desk_scale_config",
-    "dft_at",
-    "empirical_cdf",
     "exceedance_count",
     "fisher_g",
     "fisher_p_value",
@@ -106,9 +90,7 @@ __all__ = [
     "run_test",
     "save_table",
     "simulate_null",
-    "spectral_identity",
     "summarize_test",
-    "unitary_dft_matrix",
     "wilson_interval",
     "write_report",
 ]

@@ -126,11 +126,6 @@ def _null_round(units, scales, master_seed: int, first: int, size: int, buffers:
     return kernels.null_msi(units, positions, scales, buffers)
 
 
-def empirical_cdf(null: NullDistribution, s: float) -> float:
-    """Fraction of simulated MSI values at or below ``s``."""
-    return float(np.count_nonzero(null.msi_values <= s)) / null.n_permutations
-
-
 def exceedance_count(observed_msi: float, null: NullDistribution) -> int:
     """Number of simulated MSI values >= the observed one, ties included.
 

@@ -62,13 +62,6 @@ class TimeSeries:
     def n(self) -> int:
         return self.values.size
 
-    def centered(self) -> tuple[np.ndarray, float]:
-        """Deviations from the sample mean, and their sample variance (n-1
-        denominator; 0.0 for a constant series): the arithmetic of
-        :meth:`spread`, in data units."""
-        unit, variance, exponent = self._unit_spread()
-        return times_power_of_two(unit, exponent), float(times_power_of_two(variance, 2 * exponent))
-
     def spread(self) -> tuple[np.ndarray, float, int]:
         """``(unit, variance, exponent)``: the deviations are ``unit *
         2**exponent`` and their variance ``variance * 4**exponent``.
@@ -79,12 +72,7 @@ class TimeSeries:
         bit of scale-free quantities.  Raises DegenerateSeriesError for a
         constant series, where every scaled intensity is 0/0.
         """
-        unit, variance, exponent = self._unit_spread()
-        check_varies(variance)
-        return unit, variance, exponent
-
-    def _unit_spread(self) -> tuple[np.ndarray, float, int]:
-        units, variances, exponents = _unit_spread_rows(self.values[None])
+        units, variances, exponents = spread_rows(self.values[None])
         return units[0], float(variances[0]), int(exponents[0])
 
 
@@ -103,12 +91,13 @@ def check_varies(variances) -> None:
         )
 
 
-def _unit_spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arithmetic of :meth:`TimeSeries.spread` for each row of a finite
-    ``(rows, n)`` float64 array, unchecked: the unit deviations, their
-    variances (0.0 for a constant row) and the exponents.  Each variance is
-    its row's sum of squares by ``np.vecdot``, which is BLAS ``ddot``: the
-    bytes of ``np.dot`` on that row."""
+def spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``TimeSeries(row).spread()`` of each row of a ``(rows, n)`` float64
+    array, with the same checks, as the arrays ``(units, variances,
+    exponents)``: no TimeSeries per row.  Each variance is its row's sum of
+    squares by ``np.vecdot``, which is BLAS ``ddot``: the bytes of
+    ``np.dot`` on that row."""
+    check_finite(rows)
     largest = np.abs(rows).max(axis=1)
     exponents = np.frexp(largest)[1]
     values = times_power_of_two(rows, -exponents[:, None])
@@ -116,15 +105,6 @@ def _unit_spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     # exactly constant, even where the mean rounds (seven 0.1s)
     units[np.all(rows == rows[:, :1], axis=1)] = 0.0
     variances = np.vecdot(units, units) / (rows.shape[1] - 1)
-    return units, variances, exponents
-
-
-def spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``TimeSeries(row).spread()`` of each row of a ``(rows, n)`` float64
-    array, bit for bit and with the same checks, as the arrays
-    ``(units, variances, exponents)``: no TimeSeries per row."""
-    check_finite(rows)
-    units, variances, exponents = _unit_spread_rows(rows)
     check_varies(variances)
     return units, variances, exponents
 

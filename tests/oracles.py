@@ -54,6 +54,28 @@ def naive_dft_at(values, delta):
     return total / math.sqrt(n)
 
 
+def naive_spectral_identity(values, delta):
+    """The squared scaled intensity at ``delta`` from the sample
+    autocorrelations rho_l = gamma_l / gamma_0, gamma_l = sum_t d_t d_(t+l) /
+    (n-l-1) of the deviations d from the mean, and T_l(cos x) = cos(l x) at
+    x = 2 pi delta: (n-1)/n + 2 sum_(l=1)^(n-2) ((n-l-1)/n) rho_l T_l +
+    (2/n) T_(n-1) d_1 d_n / gamma_0.  The last lag is a single product, whose
+    autocovariance would divide by zero, so it enters directly."""
+    n = len(values)
+    mean = sum(values) / n
+    d = [value - mean for value in values]
+    gamma = [sum(d[t] * d[t + lag] for t in range(n - lag)) / (n - lag - 1) for lag in range(n - 1)]
+    x = 2 * math.pi * delta
+    body = sum((n - lag - 1) / n * gamma[lag] / gamma[0] * math.cos(lag * x) for lag in range(1, n - 1))
+    return (n - 1) / n + 2 * body + 2 / n * math.cos((n - 1) * x) * d[0] * d[-1] / gamma[0]
+
+
+def naive_unitary_dft_matrix(n):
+    """The n-by-n unitary DFT matrix as rows of Python complex numbers:
+    entry (k, t) is exp(-2i pi k t / n) / sqrt(n)."""
+    return [[cmath.exp(-2j * cmath.pi * (k * t % n) / n) / math.sqrt(n) for t in range(n)] for k in range(n)]
+
+
 def naive_intensities(values):
     """Moduli of the centered DFT over all fundamental frequencies."""
     n = len(values)

@@ -18,7 +18,6 @@ from permspec import (
     PermutationPlan,
     StudyConfig,
     analyze_spectrum,
-    dft_at,
     fisher_g,
     fisher_p_value,
     gen_noise,
@@ -26,7 +25,6 @@ from permspec import (
     run_grid,
     run_test,
     simulate_null,
-    spectral_identity,
     wilson_interval,
 )
 from permspec.cli import main
@@ -36,7 +34,7 @@ from permspec.power import render_table
 from permspec.rng import ShuffleBuffers, philox_generator
 from permspec.series import spread_rows
 
-from oracles import exhaustive_null_msi
+from oracles import exhaustive_null_msi, naive_dft_at, naive_spectral_identity
 
 ALPHA = 0.05
 DESK_K = 500
@@ -356,11 +354,15 @@ def test_spectral_identity_1000_pairs():
         n = int(rng.integers(3, 65))
         spec = NoiseSpec("normal" if i % 2 == 0 else "t2", n)
         values = gen_noise(spec, philox_generator(4, i))
+        k = int(rng.integers(1, n))
         delta = float(rng.uniform(0.0, 1.0))
-        direct = abs(dft_at(values, delta)) ** 2 / np.var(values, ddof=1)
-        via_identity = spectral_identity(values, delta)
-        worst = max(worst, abs(via_identity - direct) / max(direct, 1e-12))
-    report("spectral identity vs direct DFT", worst <= 1e-8,
+        on_grid = analyze_spectrum(values).scaled_intensity[k] ** 2
+        readings = values.tolist()
+        off_grid = abs(naive_dft_at(readings, delta)) ** 2 / np.var(values, ddof=1)
+        for frequency, direct in ((k / n, on_grid), (delta, off_grid)):
+            via_identity = naive_spectral_identity(readings, frequency)
+            worst = max(worst, abs(via_identity - direct) / max(direct, 1e-12))
+    report("spectral identity vs analyze_spectrum and direct DFT", worst <= 1e-8,
            f"worst relative error {worst:.2e}")
 
 

@@ -377,8 +377,8 @@ class TestPowerStudyCommand:
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
-    """The Chebyshev helpers reach np.polynomial when called, so that no
-    command that does not use them pays for importing it at start."""
+    """No command uses np.polynomial, so importing the CLI must not load it
+    and make every start pay for it."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(

@@ -46,11 +46,11 @@ def test_observed_msi_is_the_identity_row_of_the_null(kind):
     the peak lies at a frequency in (0, 1/2]."""
     for n in range(3, 258):
         values = readings(kind, n, np.random.default_rng(n))
-        centered, variance = TimeSeries(values).centered()
+        unit, variance, _ = TimeSeries(values).spread()
         identity = np.arange(n)[None]
         analysis = analyze_spectrum(values)
         scale = kernels.msi_scale(n, variance)
-        null = kernels.null_msi(centered[None], identity, scale, rng.ShuffleBuffers())[0]
+        null = kernels.null_msi(unit[None], identity, scale, rng.ShuffleBuffers())[0]
         assert analysis.msi == null[0], n
         assert 0.0 < analysis.peak_frequency <= 0.5, n
 

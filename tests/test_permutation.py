@@ -11,7 +11,6 @@ from permspec import (
     NullDistribution,
     PermutationPlan,
     TimeSeries,
-    empirical_cdf,
     exceedance_count,
     gen_sinusoid,
     p_value,
@@ -244,24 +243,6 @@ def test_any_split_into_rounds_gives_simulate_nulls_values(case):
         assert row.tobytes() == expected.tobytes()
 
 
-class TestEmpiricalCdf:
-    def test_below_minimum(self):
-        assert empirical_cdf(small_null([1.0, 2.0, 3.0, 4.0]), 0.5) == 0.0
-
-    def test_at_maximum(self):
-        assert empirical_cdf(small_null([1.0, 2.0, 3.0, 4.0]), 4.0) == 1.0
-
-    def test_midpoint(self):
-        assert empirical_cdf(small_null([1.0, 2.0, 3.0, 4.0]), 2.5) == 0.5
-
-    def test_monotone_and_right_continuous(self):
-        null = small_null([1.0, 2.0, 2.0, 5.0])
-        grid = [0.0, 1.0, 1.5, 2.0, 2.0 + 1e-12, 4.9, 5.0, 9.0]
-        values = [empirical_cdf(null, s) for s in grid]
-        assert values == sorted(values)
-        assert empirical_cdf(null, 2.0) == 0.75  # ties included at the step
-
-
 class TestPValue:
     def test_observed_above_all(self):
         assert p_value(9.0, small_null([1.0, 2.0, 3.0, 4.0])) == 0.0
@@ -313,10 +294,10 @@ class TestTies:
         generator = np.random.default_rng(31)
         for n in range(3, 80):
             values = np.round(generator.standard_normal(n), 1)
-            centered, variance = TimeSeries(values).centered()
+            unit, variance, _ = TimeSeries(values).spread()
             perms = rearrange(np.arange(n))[None]
             scale = kernels.msi_scale(n, variance)
-            tied = kernels.null_msi(centered[None], perms, scale, rng.ShuffleBuffers())[0]
+            tied = kernels.null_msi(unit[None], perms, scale, rng.ShuffleBuffers())[0]
             null = NullDistribution(msi_values=tied, plan=PermutationPlan(0, 1))
             assert exceedance_count(analyze_spectrum(values).msi, null) == 1, n
 

@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permspec import (
-    PermutationPlan,
-    analyze_spectrum,
-    autocorrelation_profile,
-    dft_at,
-    fisher_g,
-    run_test,
-    spectral_identity,
-)
+from permspec import PermutationPlan, analyze_spectrum, fisher_g, run_test
 
 PLAN = PermutationPlan(master_seed=7, n_permutations=50)
 
@@ -67,15 +59,12 @@ def test_extreme_magnitudes_give_the_unit_result(factor):
 
 @pytest.mark.parametrize("factor", [1e155, 1e300, 1e-160, 1e-200])
 def test_second_order_statistics_at_extreme_magnitudes(factor):
-    """Autocorrelations and the spectral identity are scale-free: no sum of
-    squares may over- or underflow on the way to them."""
+    """The squared scaled intensity of every bin, which the autocorrelation
+    identity expands, is scale-free: no sum of squares may over- or
+    underflow on the way to it."""
     values = np.random.default_rng(12).standard_normal(40)
-    peak = analyze_spectrum(values).peak_frequency
-    base, scaled = autocorrelation_profile(values), autocorrelation_profile(values * factor)
-    np.testing.assert_allclose(scaled.autocorrelations, base.autocorrelations, rtol=1e-12)
-    assert spectral_identity(values * factor, peak) == pytest.approx(
-        spectral_identity(values, peak), rel=1e-12
-    )
+    base, scaled = analyze_spectrum(values), analyze_spectrum(values * factor)
+    np.testing.assert_allclose(scaled.scaled_intensity**2, base.scaled_intensity**2, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -83,12 +72,15 @@ def test_second_order_statistics_at_extreme_magnitudes(factor):
 )
 def test_fourier_sums_whose_deviations_leave_the_float_range(values):
     """Deviations of these finite values from their mean pass the largest
-    float, but their DFT at 1/4 and Fisher's g do not: both are those of a
-    copy scaled down by 1e300, scaled back."""
+    float, but their MSI and Fisher's g are those of a copy scaled down by
+    1e300, and each DFT bin that stays finite is the copy's, scaled back."""
     values = np.array(values) * 1e308
     with np.errstate(over="ignore"):
         assert np.isinf(values - values.mean()).any()
     small = values * 1e-300
-    expected = dft_at(small, 0.25) * 1e300
-    assert abs(dft_at(values, 0.25) - expected) <= 1e-12 * abs(expected)
+    big, expected = analyze_spectrum(values), analyze_spectrum(small)
+    finite = np.isfinite(big.dft)
+    assert finite[1:].any()
+    np.testing.assert_allclose(big.dft[finite], expected.dft[finite] * 1e300, rtol=1e-12)
+    assert big.msi == pytest.approx(expected.msi, rel=1e-12)
     assert fisher_g(values) == pytest.approx(fisher_g(small), rel=1e-12)

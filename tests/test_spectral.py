@@ -3,21 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from permspec import (
-    DegenerateSeriesError,
-    analyze_spectrum,
-    autocorrelation_profile,
-    autocovariance,
-    center,
-    chebyshev_t,
-    dft_at,
-    fisher_g,
-    fisher_p_value,
-    spectral_identity,
-    unitary_dft_matrix,
-)
+from permspec import DegenerateSeriesError, TimeSeries, analyze_spectrum, fisher_g, fisher_p_value
 
-from oracles import fisher_tail_mp, naive_dft_at, naive_fisher_g
+from oracles import (
+    fisher_tail_mp,
+    naive_dft_at,
+    naive_fisher_g,
+    naive_sample_variance,
+    naive_spectral_identity,
+    naive_unitary_dft_matrix,
+)
 
 ALTERNATING = [1.0, -1.0, 1.0, -1.0]
 
@@ -27,46 +22,41 @@ def random_series(rng, n=None):
     return rng.standard_normal(n)
 
 
-class TestCenter:
-    def test_constant_vector_goes_to_zero(self):
-        assert center([1.0, 1.0, 1.0, 1.0]) == pytest.approx([0.0] * 4, abs=0)
+def deviations(values) -> np.ndarray:
+    """The deviations from the mean that analyze_spectrum and simulate_null
+    transform: ``TimeSeries.spread()``'s units times 2**exponent."""
+    unit, _, exponent = TimeSeries(values).spread()
+    return np.ldexp(unit, exponent)
 
+
+class TestCenter:
     def test_zero_mean_vector_is_fixed_point(self):
-        np.testing.assert_array_equal(center(ALTERNATING), ALTERNATING)
+        np.testing.assert_array_equal(deviations(ALTERNATING), ALTERNATING)
 
     def test_hand_example(self):
-        np.testing.assert_allclose(center([1.0, 2.0, 3.0]), [-1.0, 0.0, 1.0])
+        np.testing.assert_allclose(deviations([1.0, 2.0, 3.0]), [-1.0, 0.0, 1.0])
 
     def test_sums_to_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             values = random_series(rng) * rng.uniform(0.1, 1e6)
-            residual = abs(center(values).sum())
+            residual = abs(deviations(values).sum())
             assert residual <= 1e-12 * len(values) * np.abs(values).max()
 
 
 class TestDftAt:
-    def test_zero_frequency_is_exactly_zero_after_centering(self):
-        rng = np.random.default_rng(1)
-        value = dft_at(random_series(rng), 0.0)
-        assert abs(value) < 1e-12
+    """``analyze_spectrum(...).dft[k]``, the DFT at frequency k/n."""
 
     def test_alternating_series_at_half(self):
-        assert dft_at(ALTERNATING, 0.5) == pytest.approx(2 + 0j)
-
-    def test_periodic_in_delta(self):
-        rng = np.random.default_rng(2)
-        values = random_series(rng)
-        for delta in (0.13, 0.49, 0.77):
-            assert dft_at(values, delta) == pytest.approx(dft_at(values, delta + 1.0))
+        assert analyze_spectrum(ALTERNATING).dft[2] == pytest.approx(2 + 0j)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             values = random_series(rng)
-            delta = rng.uniform(0, 1)
-            expected = naive_dft_at(list(values), delta)
-            assert dft_at(values, delta) == pytest.approx(expected, rel=1e-10)
+            n = len(values)
+            expected = [naive_dft_at(list(values), k / n) for k in range(n)]
+            np.testing.assert_allclose(analyze_spectrum(values).dft, expected, rtol=1e-10, atol=1e-12)
 
 
 class TestAnalyzeSpectrum:
@@ -230,129 +220,62 @@ class TestFisherPValue:
             fisher_p_value(g, m)
 
 
-class TestAutocovariance:
-    def test_hand_example_lag_zero(self):
-        assert autocovariance([1.0, 2.0, 3.0], 0) == pytest.approx(1.0)
-
-    def test_hand_example_lag_one(self):
-        assert autocovariance([1.0, 2.0, 3.0], 1) == pytest.approx(0.0)
-
-    def test_lag_zero_is_sample_variance(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            values = random_series(rng)
-            assert autocovariance(values, 0) == pytest.approx(
-                np.var(values, ddof=1), rel=1e-12
-            )
-
-    def test_lag_out_of_range(self):
-        with pytest.raises(ValueError, match="lag"):
-            autocovariance([1.0, 2.0, 3.0], 2)
-        with pytest.raises(ValueError, match="lag"):
-            autocovariance([1.0, 2.0, 3.0], -1)
-
-    def test_profile_normalisation(self):
-        rng = np.random.default_rng(13)
-        values = random_series(rng)
-        profile = autocorrelation_profile(values)
-        assert profile.autocorrelations[0] == 1.0
-        assert profile.autocovariances[0] == pytest.approx(
-            np.var(values, ddof=1), rel=1e-12
-        )
-        assert profile.max_lag == len(values) - 2
-
-
-class TestChebyshev:
-    def test_order_zero(self):
-        assert chebyshev_t(0, 0.3) == 1.0
-
-    def test_order_one_is_identity(self):
-        assert chebyshev_t(1, 0.3) == pytest.approx(0.3)
-
-    def test_order_two(self):
-        assert chebyshev_t(2, 0.5) == pytest.approx(-0.5)
-
-    def test_out_of_domain(self):
-        with pytest.raises(ValueError):
-            chebyshev_t(3, 1.5)
-
-    def test_negative_order(self):
-        with pytest.raises(ValueError):
-            chebyshev_t(-1, 0.5)
-
-    def test_cosine_identity(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            theta = rng.uniform(0, np.pi)
-            ell = int(rng.integers(0, 30))
-            assert chebyshev_t(ell, math.cos(theta)) == pytest.approx(
-                math.cos(ell * theta), abs=1e-9
-            )
-
-    def test_three_term_recurrence_bit_for_bit(self):
-        """T_ell(phi) is the float64 recurrence T_ell = 2 phi T_(ell-1) -
-        T_(ell-2) from T_0 = 1 and T_1 = phi, bit for bit, at the ends of the
-        domain and inside it, also for a float32 phi."""
-        phis = [-1.0, 0.0, 1.0, np.float32(0.3), *np.random.default_rng(17).uniform(-1.0, 1.0, 20)]
-        for phi in phis:
-            expected = [1.0, float(phi)]
-            for _ in range(2, 240):
-                expected.append(2.0 * float(phi) * expected[-1] - expected[-2])
-            for ell in (0, 1, 2, 7, 59, 239):
-                assert chebyshev_t(ell, phi).hex() == expected[ell].hex()
-
-
 class TestSpectralIdentity:
+    """The autocorrelation/Chebyshev expansion of the squared scaled
+    intensity (``naive_spectral_identity``) against the package's spectrum."""
+
     def test_alternating_example(self):
-        assert spectral_identity(ALTERNATING, 0.5) == pytest.approx(3.0)
+        assert naive_spectral_identity(ALTERNATING, 0.5) == pytest.approx(3.0)
+        assert analyze_spectrum(ALTERNATING).scaled_intensity[2] ** 2 == pytest.approx(3.0)
 
     def test_equals_direct_squared_scaled_intensity(self):
+        """At each k/n against ``analyze_spectrum``, and off the grid
+        against the direct sum."""
         rng = np.random.default_rng(15)
         for _ in range(100):
-            values = random_series(rng)
+            values = list(random_series(rng))
+            n = len(values)
+            scaled = analyze_spectrum(values).scaled_intensity
+            for k in range(1, n):
+                assert naive_spectral_identity(values, k / n) == pytest.approx(
+                    scaled[k] ** 2, rel=1e-8, abs=1e-10
+                )
             delta = rng.uniform(0, 1)
-            direct = abs(dft_at(values, delta)) ** 2 / np.var(values, ddof=1)
-            assert spectral_identity(values, delta) == pytest.approx(
-                direct, rel=1e-8, abs=1e-10
-            )
+            direct = abs(naive_dft_at(values, delta)) ** 2 / naive_sample_variance(values)
+            assert naive_spectral_identity(values, delta) == pytest.approx(direct, rel=1e-8, abs=1e-10)
 
     def test_sum_over_fundamental_frequencies_is_parseval(self):
         rng = np.random.default_rng(16)
-        values = random_series(rng, 12)
+        values = list(random_series(rng, 12))
         n = len(values)
-        total = sum(spectral_identity(values, k / n) for k in range(n))
+        total = sum(naive_spectral_identity(values, k / n) for k in range(n))
         assert total == pytest.approx(n - 1, rel=1e-8)
-
-    def test_degenerate_series(self):
-        with pytest.raises(DegenerateSeriesError):
-            spectral_identity([4.0, 4.0, 4.0], 0.3)
 
 
 class TestUnitaryDftMatrix:
-    def test_n_zero_rejected(self):
-        with pytest.raises(ValueError, match="matrix size must be >= 1, got 0"):
-            unitary_dft_matrix(0)
+    """``naive_unitary_dft_matrix`` U: unitary, and ``U @ (x - mean)`` is
+    ``analyze_spectrum(x).dft``."""
 
     def test_n_equals_one(self):
-        np.testing.assert_allclose(unitary_dft_matrix(1), [[1.0]])
+        np.testing.assert_allclose(naive_unitary_dft_matrix(1), [[1.0]])
 
     def test_n_equals_two(self):
         expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        np.testing.assert_allclose(unitary_dft_matrix(2), expected, atol=1e-15)
+        np.testing.assert_allclose(naive_unitary_dft_matrix(2), expected, atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 4, 16, 61, 256, 1024])
     def test_unitarity(self, n):
-        matrix = unitary_dft_matrix(n)
+        matrix = np.array(naive_unitary_dft_matrix(n))
         deviation = matrix @ matrix.conj().T - np.eye(n)
         assert np.abs(deviation).max() < 1e-12
 
     def test_matrix_applied_to_centered_series_matches_analysis(self):
         rng = np.random.default_rng(17)
         values = random_series(rng, 15)
-        analysis = analyze_spectrum(values)
-        via_matrix = unitary_dft_matrix(15) @ center(values)
-        np.testing.assert_allclose(via_matrix[1:], analysis.dft[1:], atol=1e-10)
+        via_matrix = np.array(naive_unitary_dft_matrix(15)) @ (values - values.mean())
+        np.testing.assert_allclose(via_matrix, analyze_spectrum(values).dft, atol=1e-10)
 
     def test_alternating_example_through_centering(self):
-        product = unitary_dft_matrix(4) @ center(ALTERNATING)
+        product = np.array(naive_unitary_dft_matrix(4)) @ (np.array(ALTERNATING) - np.mean(ALTERNATING))
         np.testing.assert_allclose(product, [0.0, 0.0, 2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(product, analyze_spectrum(ALTERNATING).dft, atol=1e-12)

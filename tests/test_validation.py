@@ -9,18 +9,12 @@ from permspec import (
     StudyConfig,
     TimeSeries,
     analyze_spectrum,
-    autocorrelation_profile,
-    autocovariance,
-    chebyshev_t,
-    dft_at,
     fisher_g,
     gen_sinusoid,
     random_composite,
     run_cell,
     run_test,
     simulate_null,
-    spectral_identity,
-    unitary_dft_matrix,
     wilson_interval,
 )
 from permspec.cli import ingest_csv
@@ -29,7 +23,6 @@ from permspec.power import check_replicates
 from permspec.rng import check_seed
 from permspec.series import check_length
 from permspec.signals import check_snr
-from permspec.spectral import check_delta
 
 
 def _ingest_two_rows(tmp_path):
@@ -94,23 +87,6 @@ RULES = {
         {
             "StudyConfig": lambda tmp_path: StudyConfig(replicates=0),
             "run_cell": lambda tmp_path: run_cell("normal", 30, 0.0, 0, 20, 0.05, 1),
-        },
-    ),
-    # spectral_identity(s, nan) used to return the delta = 1/2 value,
-    # spectral_identity(s, inf) failed with "math domain error" and
-    # dft_at(s, nan) returned nan+nanj
-    "delta": (
-        lambda tmp_path: check_delta(np.nan),
-        {
-            "dft_at": lambda tmp_path: dft_at([1.0, 2.0, 4.0, 3.0], np.nan),
-            "spectral_identity": lambda tmp_path: spectral_identity([1.0, 2.0, 4.0, 3.0], np.nan),
-        },
-    ),
-    "infinite delta": (
-        lambda tmp_path: check_delta(np.inf),
-        {
-            "dft_at": lambda tmp_path: dft_at([1.0, 2.0, 4.0, 3.0], np.inf),
-            "spectral_identity": lambda tmp_path: spectral_identity([1.0, 2.0, 4.0, 3.0], np.inf),
         },
     ),
     # gen_sinusoid(0, 0.1) used to return an empty array
@@ -182,12 +158,6 @@ INTEGER_RULES = {
     # intervals; no caller passes it counts from outside the package
     "successes": (lambda value: wilson_interval(value, 10), {}),
     "trials": (lambda value: wilson_interval(3, value), {}),
-    # unitary_dft_matrix(2.5) used to return a 3x3 matrix that is not
-    # unitary; chebyshev_t(2.5, 0.3) failed inside numpy and
-    # autocovariance(s, 1.5) with an IndexError
-    "matrix size": (unitary_dft_matrix, {}),
-    "order": (lambda value: chebyshev_t(value, 0.3), {}),
-    "lag": (lambda value: autocovariance([1.0, 2.0, 4.0, 3.0, 5.0], value), {}),
 }
 NOT_INTEGERS = [1.5, 3.0, np.float64(3), True]
 
@@ -202,9 +172,6 @@ NOT_INTEGERS = [1.5, 3.0, np.float64(3), True]
         ("replicates", "replicates"),
         ("successes", "successes"),
         ("trials", "trials"),
-        ("matrix size", "n"),
-        ("order", "ell"),
-        ("lag", "lag"),
     ],
 )
 def test_seeds_and_counts_must_be_integers(rule, name, value):
@@ -300,7 +267,6 @@ def test_only_real_numbers_pass_the_series_boundary(values):
         lambda v: run_test(v, PLAN),
         lambda v: simulate_null(v, PLAN),
         fisher_g,
-        autocorrelation_profile,
     ):
         with pytest.raises(TypeError) as excinfo:
             entry(values)
