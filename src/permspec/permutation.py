@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels, rng
 from .series import as_time_series
-from .spectral import SpectrumAnalysis, analyze_spectrum
+from .spectral import SpectrumAnalysis, analyze_spectrum, observe_rows
 
 # Relative tie tolerance of the exceedance count, as in scipy.stats.permutation_test.
 TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
@@ -103,7 +103,7 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     changes no bit.
     """
     ts = as_time_series(series)
-    unit, variance, _ = ts.spread()
+    unit, variance = ts.spread()
     scale = kernels.msi_scale(ts.n, variance)
     m, block = plan.n_permutations, _round_rows(ts.n, plan.n_permutations)
     buffers = rng.ShuffleBuffers()  # every block is shuffled in the first one's arrays
@@ -178,16 +178,11 @@ def decision_group(n: int, permutations: int) -> int:
     return max(1, _round_rows(n, permutations) // min(DECISION_BLOCK, int(permutations)))
 
 
-def count_rejections(
-    units, scales, master_seed: int, permutations: int, alpha: float, buffers: rng.ShuffleBuffers
-) -> int:
-    """How many of a group of tests of one length reject at level
-    ``alpha``: those whose :func:`run_test` with
-    ``PermutationPlan(master_seed, permutations)`` gives p_value <= alpha.
-    Test i is given by its unit deviations ``units[i]``
-    (:meth:`TimeSeries.spread`) and its :func:`kernels.msi_scale`
-    ``scales[i]``; every test draws its permutations from the one
-    ``master_seed``.  :func:`decision_group` sizes a group.
+def count_rejections(rows, plan: PermutationPlan, alpha: float, buffers: rng.ShuffleBuffers) -> int:
+    """How many rows ``r`` of a ``(tests, n)`` float array of series give
+    ``run_test(rows[r], plan).p_value <= alpha``: every test draws its
+    permutations from the plan's one master seed.  :func:`decision_group`
+    sizes a group.
 
     The count is exact, but a test stops once the p-value rule settles its
     decision: b/M grows with b, so after b exceedances of ``done``
@@ -200,11 +195,13 @@ def count_rejections(
     their rounds; the rows a round gathers fill at most the
     ``DECISION_ROUND_BYTES`` that :func:`decision_group` sizes a group by.
     Hence the simulations a test draws are the first ones of its
-    :func:`simulate_null`, bit for bit.  The observed MSIs are the scaled
-    :func:`kernels.peak_moduli` of one transform of ``units``.
+    :func:`simulate_null`, bit for bit.  The observed MSIs come from
+    :func:`spectral.observe_rows`, the pass :func:`analyze_spectrum` takes
+    on one series.
     """
-    check_permutations(permutations)
-    thresholds = _tie_threshold(kernels.peak_moduli(kernels.transform(units)) * scales)
+    units, scales, _, peaks = observe_rows(rows)
+    thresholds = _tie_threshold(peaks * scales)
+    master_seed, permutations = plan.master_seed, plan.n_permutations
     exceedances = np.zeros(len(units), dtype=np.intp)
     rejections = done = 0
     while exceedances.size:

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import msi_scale
 from .permutation import (
+    PermutationPlan,
     check_alpha,
     check_confidence,
     check_permutations,
@@ -31,7 +31,6 @@ from .permutation import (
 )
 from .report import field_map, from_record, parse_object, parse_tagged, to_record, write_text
 from .rng import ShuffleBuffers, check_integer, check_seed, seed_chain
-from .series import spread_rows
 from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
 
 _DISTRIBUTION_IDS = {name: index + 1 for index, name in enumerate(DISTRIBUTIONS)}
@@ -166,14 +165,15 @@ def run_cell(
     """Estimate power for one cell; deterministic given ``cell_seed``.
 
     Replicate r is ``random_composite`` of noise seed ``seed_chain(cell_seed,
-    r, 0)`` tested with the cell's one test seed ``seed_chain(cell_seed,
-    1)``: a chain of two components, where every noise seed is a chain of
-    three.  The replicates thus share their permutations, which are
-    independent of each replicate's series, so each test keeps its size
-    (Hemerik & Goeman 2018, *TEST* 27:811); a round shuffles its rows once
-    for every replicate.  The replicates are made and decided a block of
-    :func:`decision_group` at a time, as arrays, so memory does not grow
-    with their number and no object is built per replicate.  Every round
+    r, 0)`` tested with the cell's one plan, of test seed
+    ``seed_chain(cell_seed, 1)``: a chain of two components, where every
+    noise seed is a chain of three.  The replicates thus share their
+    permutations, which are independent of each replicate's series, so
+    each test keeps its size (Hemerik & Goeman 2018, *TEST* 27:811); a
+    round shuffles its rows once for every replicate.  The replicates are made and decided a block of
+    :func:`decision_group` at a time, as arrays, whose values go to
+    :func:`count_rejections` as they are, so memory does not grow with
+    their number and no object is built per replicate.  Every round
     of the cell shuffles and scores in ``buffers``, which a caller with
     many cells holds for all of them (fresh ones without).  The blocks and
     the gather tiles of the rounds change no count: a replicate's
@@ -182,17 +182,14 @@ def run_cell(
     spec = NoiseSpec(distribution, n)
     check_snr(snr)
     _check_settings(replicates, permutations, alpha, confidence, cell_seed)
-    rejections = 0
-    block, test_seed = decision_group(n, permutations), seed_chain(cell_seed, 1)
+    rejections, block = 0, decision_group(n, permutations)
+    plan = PermutationPlan(seed_chain(cell_seed, 1), permutations)
     if buffers is None:
         buffers = ShuffleBuffers()  # the first round's arrays serve every later round
     for first in range(0, replicates, block):
         index = np.arange(first, min(first + block, replicates), dtype=np.uint64)
         values, _, _ = composite_block(spec, snr, seed_chain(cell_seed, index, 0))
-        units, variances, _ = spread_rows(values)
-        rejections += count_rejections(
-            units, msi_scale(n, variances), test_seed, permutations, alpha, buffers
-        )
+        rejections += count_rejections(values, plan, alpha, buffers)
     low, high = wilson_interval(rejections, replicates, confidence)
     return PowerCell(
         distribution=distribution,

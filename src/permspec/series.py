@@ -62,18 +62,20 @@ class TimeSeries:
     def n(self) -> int:
         return self.values.size
 
-    def spread(self) -> tuple[np.ndarray, float, int]:
-        """``(unit, variance, exponent)``: the deviations are ``unit *
-        2**exponent`` and their variance ``variance * 4**exponent``.
+    def spread(self) -> tuple[np.ndarray, float]:
+        """``(unit, variance)``: the deviations from the mean, divided by the
+        power of two ``2**e`` just above the largest |value| (``np.frexp``'s
+        exponent e), and their sample variance.
 
-        Every centred quantity in the package starts here.  The exponent is
-        that of the largest value, so no sum over- or underflows at any
-        finite magnitude, and the exact power-of-two scaling keeps every
-        bit of scale-free quantities.  Raises DegenerateSeriesError for a
-        constant series, where every scaled intensity is 0/0.
+        Every centred quantity in the package starts here.  Scaled so, no
+        sum over- or underflows at any finite magnitude, and the exact
+        power-of-two scaling keeps every bit of the scale-free quantities
+        built from the pair, the scaled intensities and the MSI.  Raises
+        DegenerateSeriesError for a constant series, where every scaled
+        intensity is 0/0.
         """
-        units, variances, exponents = spread_rows(self.values[None])
-        return units[0], float(variances[0]), int(exponents[0])
+        units, variances = spread_rows(self.values[None])
+        return units[0], float(variances[0])
 
 
 def check_finite(values: np.ndarray) -> None:
@@ -91,36 +93,22 @@ def check_varies(variances) -> None:
         )
 
 
-def spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def spread_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``TimeSeries(row).spread()`` of each row of a ``(rows, n)`` float64
-    array, with the same checks, as the arrays ``(units, variances,
-    exponents)``: no TimeSeries per row.  Each variance is its row's sum of
-    squares by ``np.vecdot``, which is BLAS ``ddot``: the bytes of
-    ``np.dot`` on that row."""
+    array, with the same checks, as the arrays ``(units, variances)``: no
+    TimeSeries per row.  ``np.ldexp`` scales each row so that its largest
+    |value| lies in [0.5, 1), which cannot overflow.  Each variance is its
+    row's sum of squares by ``np.vecdot``, which is BLAS ``ddot``: the
+    bytes of ``np.dot`` on that row."""
     check_finite(rows)
-    largest = np.abs(rows).max(axis=1)
-    exponents = np.frexp(largest)[1]
-    values = times_power_of_two(rows, -exponents[:, None])
+    exponents = np.frexp(np.abs(rows).max(axis=1))[1]
+    values = np.ldexp(rows, -exponents[:, None])
     units = values - values.mean(axis=1, keepdims=True)
     # exactly constant, even where the mean rounds (seven 0.1s)
     units[np.all(rows == rows[:, :1], axis=1)] = 0.0
     variances = np.vecdot(units, units) / (rows.shape[1] - 1)
     check_varies(variances)
-    return units, variances, exponents
-
-
-def times_power_of_two(values, exponent) -> np.ndarray:
-    """``values * 2**exponent`` for a real number or array, or a complex
-    array of at least one dimension (a spectrum is complex even for a real
-    series; it is scaled as float pairs, which a 0-d array cannot be viewed as).
-
-    Every power-of-two scaling of the package goes through here: exact
-    unless the result leaves the normal float range.  Below it the result
-    loses low bits; beyond it, it reads inf without a warning.
-    """
-    values = np.asarray(values)
-    with np.errstate(over="ignore"):
-        return np.ldexp(values.view(np.float64), exponent).view(values.dtype)
+    return units, variances
 
 
 def as_time_series(values) -> TimeSeries:

@@ -1,9 +1,12 @@
 """Deterministic spectral mathematics.
 
-Everything here is a pure function of its inputs: the unitary DFT of the
-centred series over the fundamental frequencies, intensity and
-scaled-intensity vectors, the maximum scaled intensity (MSI) test
-statistic, and Fisher's g with its exact tail under Gaussian white noise.
+Everything here is a pure function of its inputs.  ``observe_rows`` is the
+one observed pass over series: it spreads and scales them and takes one
+transform of them.  A series' analysis (its scaled intensities over the
+frequencies 0 .. 1/2, the maximum scaled intensity (MSI) test statistic
+and its peak) is its one-row case, and the observed MSIs of a group of
+power-study tests come from it too.  Fisher's g, with its exact tail under
+Gaussian white noise, is read off the same half spectrum.
 """
 
 from __future__ import annotations
@@ -16,77 +19,70 @@ import numpy as np
 from . import kernels
 from .errors import DegenerateSeriesError
 from .rng import check_integer
-from .series import as_time_series, times_power_of_two
+from .series import as_time_series, spread_rows
 
 
 @dataclass(frozen=True)
 class SpectrumAnalysis:
-    """DFT vector, intensities, and the MSI statistic for one series.
+    """The scaled intensities and the MSI statistic of one series.
 
-    ``dft[k]`` is the coefficient at frequency ``k/n`` (``dft[0]`` is
-    identically zero after centering).  ``peak_index`` is the index of the
-    largest scaled intensity over the non-zero frequencies, in
-    ``range(1, n)``; ties break toward the smaller index.
+    ``scaled_intensity[k]``, for k = 0 .. n//2, is the modulus of the
+    unitary DFT of the centred series at frequency ``k/n`` over the sample
+    standard deviation; bin 0 is 0.  The bins above 1/2 are their mirror
+    images, as the series is real, so these carry all of the spectrum.
+    ``msi`` is the largest of bins 1 .. n//2, and ``peak_index`` the first
+    bin of the largest unscaled modulus there, in ``range(1, n//2 + 1)``.
     """
 
-    dft: np.ndarray
-    intensity: np.ndarray
     scaled_intensity: np.ndarray
-    sample_variance: float
     msi: float
     peak_index: int
-
-    @property
-    def n(self) -> int:
-        return self.dft.size
+    n: int
 
     @property
     def peak_frequency(self) -> float:
         return self.peak_index / self.n
 
     def nyquist_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(frequencies, scaled intensities) restricted to (0, 1/2].
+        """(frequencies, scaled intensities) restricted to (0, 1/2]: bins
+        1 .. n//2."""
+        return np.arange(1, self.n // 2 + 1) / self.n, self.scaled_intensity[1:]
 
-        The spectrum above 1/2 mirrors this range by conjugation, so these
-        bins carry all the information.
-        """
-        k = np.arange(1, self.n // 2 + 1)
-        return k / self.n, self.scaled_intensity[k]
+
+def observe_rows(rows: np.ndarray):
+    """The observed pass over the series of a ``(rows, n)`` float array:
+    ``(units, scales, moduli, peaks)``.  Each row's unit deviations and
+    :func:`kernels.msi_scale` come from :func:`series.spread_rows`, its
+    moduli over bins 0 .. n//2 from one :func:`kernels.transform` of the
+    units, and its peak modulus from :func:`kernels.peak_moduli`, the
+    reduction of the permutation null too.  A row's MSI is its peak times
+    its scale, and its scaled intensities are its moduli times its scale.
+    :func:`analyze_spectrum` is the one-row case, and
+    :func:`permutation.count_rejections` takes its observed MSIs from here.
+    """
+    units, variances = spread_rows(rows)
+    spectra = kernels.transform(units)
+    moduli = np.empty(spectra.shape)
+    peaks = kernels.peak_moduli(spectra, moduli)
+    return units, kernels.msi_scale(rows.shape[1], variances), moduli, peaks
 
 
 def analyze_spectrum(series) -> SpectrumAnalysis:
-    """Full spectrum of one series: DFT, intensities, and MSI.
-
-    The MSI is the null's: :func:`kernels.peak_moduli` times the scale,
-    peaking at the first such bin; the bins above 1/2 are the exact
-    conjugates of those below.  Raises DegenerateSeriesError for a
-    constant series, where the scaled intensity is 0/0.
+    """Scaled intensities over (0, 1/2], the MSI and its peak, of one
+    series: the one-row case of :func:`observe_rows`.  Raises
+    DegenerateSeriesError for a constant series, where the scaled
+    intensity is 0/0.
     """
     ts = as_time_series(series)
-    n = ts.n
-    unit, unit_variance, exponent = ts.spread()
-    raw = kernels.transform(unit)
-    raw[0] = 0.0  # exact: centering kills the zero frequency analytically
-    moduli = np.empty(raw.shape)
-    scale = kernels.msi_scale(n, unit_variance)
-    msi = float(kernels.peak_moduli(raw, moduli) * scale)
-    dft = times_power_of_two(raw / math.sqrt(n), exponent)
-    sample_variance = float(times_power_of_two(unit_variance, 2 * exponent))
-    mirror = slice((n + 1) // 2 - 1, 0, -1)
-    dft, intensity, scaled = (
-        np.concatenate([half, half[mirror].conj()]) for half in (dft, np.abs(dft), moduli * scale)
-    )
-    analysis = SpectrumAnalysis(
-        dft=dft,
-        intensity=intensity,
+    _, scales, moduli, peaks = observe_rows(ts.values[None])
+    scaled = moduli[0] * scales[0]
+    scaled.flags.writeable = False
+    return SpectrumAnalysis(
         scaled_intensity=scaled,
-        sample_variance=sample_variance,
-        msi=msi,
-        peak_index=1 + int(np.argmax(moduli[1:])),
+        msi=float(peaks[0] * scales[0]),
+        peak_index=1 + int(np.argmax(moduli[0, 1:])),
+        n=ts.n,
     )
-    for arr in (analysis.dft, analysis.intensity, analysis.scaled_intensity):
-        arr.flags.writeable = False
-    return analysis
 
 
 def fisher_g(series) -> float:

@@ -28,11 +28,9 @@ from permspec import (
     wilson_interval,
 )
 from permspec.cli import main
-from permspec.kernels import msi_scale
 from permspec.permutation import count_rejections
 from permspec.power import render_table
 from permspec.rng import ShuffleBuffers, philox_generator
-from permspec.series import spread_rows
 
 from oracles import exhaustive_null_msi, naive_dft_at, naive_spectral_identity
 
@@ -323,10 +321,8 @@ def test_autocorrelated_noise_is_rejected():
     n, count, permutations = 240, 200, 200
     rates, ok = [], True
     for phi, tag in ((0.0, 23), (0.6, 24)):
-        units, variances, _ = spread_rows(_ar1_rows(phi, n, count, tag))
-        rejections = count_rejections(
-            units, msi_scale(n, variances), tag, permutations, ALPHA, ShuffleBuffers()
-        )
+        rows = _ar1_rows(phi, n, count, tag)
+        rejections = count_rejections(rows, PermutationPlan(tag, permutations), ALPHA, ShuffleBuffers())
         low, high = wilson_interval(rejections, count, 0.999)
         ok = ok and (low <= ALPHA <= high if phi == 0.0 else low > 0.5)
         rates.append(f"phi={phi:g}: {rejections / count:.3f} [{low:.3f}, {high:.3f}]")
@@ -334,16 +330,17 @@ def test_autocorrelated_noise_is_rejected():
 
 
 def test_parseval_identity_1000_series():
+    """The squared scaled intensities of bins 0 .. n//2, each counted with
+    its mirror (once at k = 0 and k = n/2, twice elsewhere), sum to n - 1."""
     rng = np.random.default_rng(11)
     worst = 0.0
     for i in range(1000):
         n = int(rng.integers(3, 513))
         spec = NoiseSpec("normal" if i % 2 == 0 else "t2", n)
         values = gen_noise(spec, philox_generator(3, i))
-        analysis = analyze_spectrum(values)
-        total = float((analysis.intensity**2).sum())
-        target = (n - 1) * analysis.sample_variance
-        worst = max(worst, abs(total - target) / target)
+        squares = analyze_spectrum(values).scaled_intensity ** 2
+        total = 2 * float(squares.sum()) - squares[0] - (squares[-1] if n % 2 == 0 else 0.0)
+        worst = max(worst, abs(total - (n - 1)) / (n - 1))
     report("Parseval identity", worst <= 1e-10, f"worst relative error {worst:.2e}")
 
 
@@ -356,7 +353,8 @@ def test_spectral_identity_1000_pairs():
         values = gen_noise(spec, philox_generator(4, i))
         k = int(rng.integers(1, n))
         delta = float(rng.uniform(0.0, 1.0))
-        on_grid = analyze_spectrum(values).scaled_intensity[k] ** 2
+        # bins above n/2 are the mirrors of those the half spectrum keeps
+        on_grid = analyze_spectrum(values).scaled_intensity[min(k, n - k)] ** 2
         readings = values.tolist()
         off_grid = abs(naive_dft_at(readings, delta)) ** 2 / np.var(values, ddof=1)
         for frequency, direct in ((k / n, on_grid), (delta, off_grid)):

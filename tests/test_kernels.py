@@ -3,6 +3,7 @@ import pytest
 
 from oracles import naive_msi
 from permspec import TimeSeries, analyze_spectrum, kernels, random_composite, rng
+from permspec.spectral import observe_rows
 
 CASES = [(3, 40), (4, 40), (15, 100), (16, 100), (47, 60), (48, 60), (128, 30)]
 
@@ -46,7 +47,7 @@ def test_observed_msi_is_the_identity_row_of_the_null(kind):
     the peak lies at a frequency in (0, 1/2]."""
     for n in range(3, 258):
         values = readings(kind, n, np.random.default_rng(n))
-        unit, variance, _ = TimeSeries(values).spread()
+        unit, variance = TimeSeries(values).spread()
         identity = np.arange(n)[None]
         analysis = analyze_spectrum(values)
         scale = kernels.msi_scale(n, variance)
@@ -59,21 +60,21 @@ def test_observed_msi_is_the_identity_row_of_the_null(kind):
 def test_observed_msis_are_the_identity_rows_of_one_batch(n):
     """One null_msi call over one row of identity positions, which 50
     different series share, normal and t2, with one scale per series, gives
-    each series' observed MSI bit for bit, and so does the peak of one
-    transform of all 50 (the power study scores a group of replicates this
-    way)."""
+    each series' observed MSI bit for bit, and so does the observed pass
+    over all 50 rows at once (the power study scores a group of replicates
+    this way)."""
     series = [
         random_composite(("normal", "t2")[seed % 2], n, 0.25 * (seed % 5), seed).series
         for seed in range(50)
     ]
     spreads = [ts.spread() for ts in series]
-    units = np.stack([unit for unit, _, _ in spreads])
-    scales = np.array([kernels.msi_scale(n, variance) for _, variance, _ in spreads])
+    units = np.stack([unit for unit, _ in spreads])
+    scales = np.array([kernels.msi_scale(n, variance) for _, variance in spreads])
     identity = np.arange(n)[None]
     batch = kernels.null_msi(units, identity, scales, rng.ShuffleBuffers())[:, 0]
     assert batch.tolist() == [analyze_spectrum(ts).msi for ts in series]
-    observed = kernels.peak_moduli(kernels.transform(units)) * scales
-    assert observed.tolist() == batch.tolist()
+    _, _, _, peaks = observe_rows(np.stack([ts.values for ts in series]))
+    assert (peaks * scales).tolist() == batch.tolist()
 
 
 def peak_cases(n):
@@ -151,8 +152,8 @@ def test_tiles_change_no_bit(kind, monkeypatch):
     of a call that scores it alone."""
     generator = np.random.default_rng(9)
     spreads = [TimeSeries(readings(kind, 50, generator)).spread() for _ in range(3)]
-    units = np.stack([unit for unit, _, _ in spreads])
-    scales = np.array([kernels.msi_scale(50, variance) for _, variance, _ in spreads])
+    units = np.stack([unit for unit, _ in spreads])
+    scales = np.array([kernels.msi_scale(50, variance) for _, variance in spreads])
     positions = rng.permutation_rows(50, rng.substream_seeds(9, 34), rng.ShuffleBuffers())
     assert positions.dtype == np.uint8
     buffers = rng.ShuffleBuffers()
@@ -205,8 +206,8 @@ def test_gathered_null_is_the_analysis_of_the_permuted_series(n, monkeypatch):
     series = generator.integers(-40, 41, (2, n)).astype(float)
     series[:, 0] -= series.sum(axis=1)
     spreads = [TimeSeries(values).spread() for values in series]
-    units = np.stack([unit for unit, _, _ in spreads])
-    scales = np.array([kernels.msi_scale(n, variance) for _, variance, _ in spreads])
+    units = np.stack([unit for unit, _ in spreads])
+    scales = np.array([kernels.msi_scale(n, variance) for _, variance in spreads])
     tiles = record_tiles(monkeypatch)
     many = rng.permutation_rows(n, rng.substream_seeds(n + 1, 140), rng.ShuffleBuffers())
     assert many.dtype == np.uint16 and kernels.stages_index(n, many.dtype)

@@ -21,8 +21,7 @@ from permspec import (
 )
 from permspec import kernels, permutation, rng
 from permspec.rng import philox_generator
-from permspec.series import spread_rows
-from permspec.spectral import analyze_spectrum
+from permspec.spectral import analyze_spectrum, observe_rows
 
 from oracles import exhaustive_null_msi, fisher_yates, wilson_interval_mp
 
@@ -222,15 +221,13 @@ def split_null_rounds(draw):
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(split_null_rounds())
 def test_any_split_into_rounds_gives_simulate_nulls_values(case):
-    """count_rejections' rounds and simulate_null's blocks share one
-    function: however simulations 0..M-1 of a group of tests sharing one
-    master seed are split into rounds, all in one set of buffers, each
-    test's concatenated round MSIs are its simulate_null values bit for
-    bit."""
+    """count_rejections' rounds, on the units and scales of the observed
+    pass, and simulate_null's blocks share one function: however
+    simulations 0..M-1 of a group of tests sharing one master seed are
+    split into rounds, all in one set of buffers, each test's concatenated
+    round MSIs are its simulate_null values bit for bit."""
     values, seed, m, bounds = case
-    spreads = [TimeSeries(row).spread() for row in values]
-    units = np.array([unit for unit, _, _ in spreads])
-    scales = np.array([kernels.msi_scale(values.shape[1], variance) for _, variance, _ in spreads])
+    units, scales, _, _ = observe_rows(values)
     buffers = rng.ShuffleBuffers()
     rounds = [
         permutation._null_round(units, scales, seed, first, stop - first, buffers)
@@ -294,41 +291,42 @@ class TestTies:
         generator = np.random.default_rng(31)
         for n in range(3, 80):
             values = np.round(generator.standard_normal(n), 1)
-            unit, variance, _ = TimeSeries(values).spread()
+            unit, variance = TimeSeries(values).spread()
             perms = rearrange(np.arange(n))[None]
             scale = kernels.msi_scale(n, variance)
             tied = kernels.null_msi(unit[None], perms, scale, rng.ShuffleBuffers())[0]
             null = NullDistribution(msi_values=tied, plan=PermutationPlan(0, 1))
             assert exceedance_count(analyze_spectrum(values).msi, null) == 1, n
 
-    TIED = {
+    FAMILIES = {
         "rounded": lambda generator, shape: np.round(generator.standard_normal(shape), 1),
         "poisson": lambda generator, shape: generator.poisson(1.0, shape).astype(float),
         "binary": lambda generator, shape: generator.integers(0, 2, shape).astype(float),
+        "continuous": lambda generator, shape: generator.standard_normal(shape),
     }
 
-    @pytest.mark.parametrize("kind", TIED)
+    @pytest.mark.parametrize("kind", FAMILIES)
     def test_early_decisions_on_tied_data(self, kind):
-        """count_rejections scores its observed MSIs by one transform of the
-        units, not through the null's gather.  On tied data, where the tie
-        threshold decides each exceedance, its count is still that of
-        run_test on each series at the group's one master seed, at a strict
-        and a loose level."""
+        """count_rejections scores its observed MSIs by the observed pass
+        over its rows, not through the null's gather.  On tied data, where
+        the tie threshold decides each exceedance, and on continuous data,
+        its count is still that of run_test on each series at the group's
+        one plan, at a strict and a loose level, and at M=7, below
+        ``DECISION_BLOCK``, at alpha = 2/7, a point of the b/M grid."""
+        assert 7 < permutation.DECISION_BLOCK
         generator = np.random.default_rng(17)
-        counts = []
+        counts, tests = [], 0
         for n in (12, 30, 61):
-            values = self.TIED[kind](generator, (40, n))
+            values = self.FAMILIES[kind](generator, (40, n))
             values = values[values.min(axis=1) < values.max(axis=1)]  # a constant row has no test
-            units, variances, _ = spread_rows(values)
-            seed = 1000 * n
-            for m, alpha in ((60, 0.05), (99, 0.3)):
-                count = permutation.count_rejections(
-                    units, kernels.msi_scale(n, variances), seed, m, alpha, rng.ShuffleBuffers()
-                )
-                expected = sum(run_test(row, PermutationPlan(seed, m)).p_value <= alpha for row in values)
+            for m, alpha in ((60, 0.05), (99, 0.3), (7, 2 / 7)):
+                plan = PermutationPlan(1000 * n, m)
+                count = permutation.count_rejections(values, plan, alpha, rng.ShuffleBuffers())
+                expected = sum(run_test(row, plan).p_value <= alpha for row in values)
                 assert count == expected, (n, m, alpha)
                 counts.append(count)
-        assert 0 < sum(counts) < 240  # decisions both ways
+                tests += len(values)
+        assert 0 < sum(counts) < tests  # decisions both ways
 
     def test_binary_series_null_size(self):
         """On exchangeable 0/1 data, where exact ties are everywhere, the

@@ -13,6 +13,7 @@ import pytest
 from oracles import reference_cell_tests
 from test_kernels import record_tiles
 from permspec import (
+    PermutationPlan,
     PowerTable,
     StudyConfig,
     TimeSeries,
@@ -259,33 +260,26 @@ class TestBlockReplicates:
     @pytest.mark.parametrize("distribution", ["normal", "t2"])
     def test_rows_are_the_one_series_replicates(self, monkeypatch, distribution, n, snr):
         """Every row equals ``random_composite(...).series.values`` bit for
-        bit, its unit, variance and exponent equal ``TimeSeries.spread()``,
-        and its scale is their msi_scale; every block is tested at the
-        cell's one test seed ``seed_chain(cell_seed, 1)``, which no noise
-        seed equals.  K ends in a partial block."""
+        bit, and every block goes to ``count_rejections`` as it is, with the
+        cell's one plan, of test seed ``seed_chain(cell_seed, 1)``, which no
+        noise seed equals.  K ends in a partial block."""
         permutations, cell_seed = 20, 77
         block = decision_group(n, permutations)
         replicates = 2 * block + 3 if block < 100 else block + 3
-        blocks, spreads, decisions = [], [], []
+        blocks, decisions = [], []
         self.spy(monkeypatch, "composite_block", blocks)
-        self.spy(monkeypatch, "spread_rows", spreads)
         self.spy(monkeypatch, "count_rejections", decisions)
         run_cell(distribution, n, snr, replicates, permutations, 0.05, cell_seed)
 
         assert [len(result[0]) for _, result in blocks] == [block] * (replicates // block) + [replicates % block]
+        assert len(decisions) == len(blocks)
+        assert all(args[0] is result[0] for (args, _), (_, result) in zip(decisions, blocks))
         values = np.concatenate([result[0] for _, result in blocks])
-        units, variances, exponents = (np.concatenate(parts) for parts in zip(*(result for _, result in spreads)))
-        scales = np.concatenate([args[1] for args, _ in decisions])
         test_seed = seed_chain(cell_seed, 1)
-        assert [args[2] for args, _ in decisions] == [test_seed] * len(blocks)
-        np.testing.assert_array_equal(np.concatenate([args[0] for args, _ in decisions]), units)
+        assert {args[1] for args, _ in decisions} == {PermutationPlan(test_seed, permutations)}
         for r in range(replicates):
             series = random_composite(distribution, n, snr, seed=seed_chain(cell_seed, r, 0)).series
             assert values[r].tobytes() == series.values.tobytes()
-            unit, variance, exponent = series.spread()
-            assert units[r].tobytes() == unit.tobytes()
-            assert (variances[r], exponents[r]) == (variance, exponent)
-            assert scales[r] == kernels.msi_scale(n, variance)
             assert seed_chain(cell_seed, r, 0) != test_seed
 
     @pytest.mark.parametrize(

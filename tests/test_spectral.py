@@ -24,9 +24,25 @@ def random_series(rng, n=None):
 
 def deviations(values) -> np.ndarray:
     """The deviations from the mean that analyze_spectrum and simulate_null
-    transform: ``TimeSeries.spread()``'s units times 2**exponent."""
-    unit, _, exponent = TimeSeries(values).spread()
-    return np.ldexp(unit, exponent)
+    transform: ``TimeSeries.spread()``'s units times 2**e, with e the
+    ``np.frexp`` exponent of the largest |value|."""
+    unit, _ = TimeSeries(values).spread()
+    return np.ldexp(unit, np.frexp(np.abs(values).max())[1])
+
+
+def mirror_weights(n: int) -> np.ndarray:
+    """How many bins of the full spectrum each bin k = 0 .. n//2 of the
+    half spectrum stands for: 1 for bin 0 and, at even n, for bin n/2,
+    which are their own mirrors; 2 for the rest."""
+    k = np.arange(n // 2 + 1)
+    return np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+
+
+def scaled_oracle(values, k: int) -> float:
+    """The scaled intensity at k/n by direct summation: |DFT| over the
+    sample standard deviation."""
+    readings = list(values)
+    return abs(naive_dft_at(readings, k / len(readings))) / math.sqrt(naive_sample_variance(readings))
 
 
 class TestCenter:
@@ -45,28 +61,28 @@ class TestCenter:
 
 
 class TestDftAt:
-    """``analyze_spectrum(...).dft[k]``, the DFT at frequency k/n."""
+    """``analyze_spectrum(...).scaled_intensity[k]``, k = 0 .. n//2, against
+    the direct-summation DFT at frequency k/n."""
 
     def test_alternating_series_at_half(self):
-        assert analyze_spectrum(ALTERNATING).dft[2] == pytest.approx(2 + 0j)
+        assert naive_dft_at(ALTERNATING, 0.5) == pytest.approx(2 + 0j)
+        expected = scaled_oracle(ALTERNATING, 2)
+        assert analyze_spectrum(ALTERNATING).scaled_intensity[2] == pytest.approx(expected)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             values = random_series(rng)
-            n = len(values)
-            expected = [naive_dft_at(list(values), k / n) for k in range(n)]
-            np.testing.assert_allclose(analyze_spectrum(values).dft, expected, rtol=1e-10, atol=1e-12)
+            expected = [scaled_oracle(values, k) for k in range(len(values) // 2 + 1)]
+            scaled = analyze_spectrum(values).scaled_intensity
+            np.testing.assert_allclose(scaled, expected, rtol=1e-10, atol=1e-12)
 
 
 class TestAnalyzeSpectrum:
     def test_alternating_series_exact_values(self):
         analysis = analyze_spectrum(ALTERNATING)
-        np.testing.assert_allclose(analysis.intensity, [0.0, 0.0, 2.0, 0.0], atol=1e-12)
-        assert analysis.sample_variance == pytest.approx(4.0 / 3.0)
-        np.testing.assert_allclose(
-            analysis.scaled_intensity, [0.0, 0.0, math.sqrt(3.0), 0.0], atol=1e-12
-        )
+        assert analysis.n == 4
+        np.testing.assert_allclose(analysis.scaled_intensity, [0.0, 0.0, math.sqrt(3.0)], atol=1e-12)
         assert analysis.msi == pytest.approx(math.sqrt(3.0))
         assert analysis.peak_index == 2
         assert analysis.peak_frequency == pytest.approx(0.5)
@@ -77,28 +93,33 @@ class TestAnalyzeSpectrum:
 
     @pytest.mark.parametrize("n,k", [(8, 1), (8, 3), (12, 5), (31, 7)])
     def test_fundamental_cosine_splits_energy_into_two_equal_spikes(self, n, k):
+        """Bin k holds half of the n - 1 of energy, and its mirror n - k,
+        which the half spectrum does not store, the other half."""
         t = np.arange(n)
         analysis = analyze_spectrum(np.cos(2 * np.pi * k * t / n))
-        expected = math.sqrt((n - 1) / 2.0)
-        assert analysis.scaled_intensity[k] == pytest.approx(expected, rel=1e-10)
-        assert analysis.scaled_intensity[n - k] == pytest.approx(expected, rel=1e-10)
-        others = np.delete(analysis.scaled_intensity, [k, n - k])
+        assert analysis.scaled_intensity.shape == (n // 2 + 1,)
+        assert analysis.scaled_intensity[k] == pytest.approx(math.sqrt((n - 1) / 2.0), rel=1e-10)
+        others = np.delete(analysis.scaled_intensity, k)
         assert np.abs(others).max() < 1e-8
 
     def test_zero_frequency_bin_is_exactly_zero(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             analysis = analyze_spectrum(random_series(rng))
-            assert analysis.dft[0] == 0.0
+            assert analysis.scaled_intensity[0] == 0.0
 
     def test_parseval(self):
+        """The squared intensities in the series' own units, each bin
+        counted with its mirror, sum to the squared deviations from the
+        mean, summed directly."""
         rng = np.random.default_rng(5)
         for _ in range(50):
             values = random_series(rng)
             analysis = analyze_spectrum(values)
-            n = len(values)
-            total = (analysis.intensity**2).sum()
-            target = (n - 1) * analysis.sample_variance
+            weighted = mirror_weights(len(values)) * analysis.scaled_intensity**2
+            total = weighted.sum() * naive_sample_variance(list(values))
+            mean = sum(values) / len(values)
+            target = sum((value - mean) ** 2 for value in values)
             assert abs(total - target) <= 1e-10 * target
 
     def test_scaled_intensity_norm_is_degrees_of_freedom(self):
@@ -106,23 +127,8 @@ class TestAnalyzeSpectrum:
         for _ in range(20):
             values = random_series(rng)
             analysis = analyze_spectrum(values)
-            norm_sq = (analysis.scaled_intensity**2).sum()
+            norm_sq = (mirror_weights(len(values)) * analysis.scaled_intensity**2).sum()
             assert norm_sq == pytest.approx(len(values) - 1, rel=1e-10)
-
-    def test_conjugate_symmetry_for_real_input(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            values = random_series(rng)
-            n = len(values)
-            analysis = analyze_spectrum(values)
-            for k in range(1, n):
-                mirror = n - k
-                assert analysis.dft[k] == pytest.approx(
-                    np.conj(analysis.dft[mirror]), abs=1e-12 * analysis.intensity.max()
-                )
-                assert analysis.intensity[k] == pytest.approx(
-                    analysis.intensity[mirror], abs=1e-12
-                )
 
     def test_affine_invariance_of_scaled_intensity(self):
         rng = np.random.default_rng(8)
@@ -139,7 +145,7 @@ class TestAnalyzeSpectrum:
         rng = np.random.default_rng(9)
         analysis = analyze_spectrum(random_series(rng))
         assert analysis.msi == analysis.scaled_intensity[1:].max()
-        assert 1 <= analysis.peak_index <= analysis.n - 1
+        assert 1 <= analysis.peak_index <= analysis.n // 2
 
     def test_nyquist_spectrum_covers_zero_to_half(self):
         analysis = analyze_spectrum(ALTERNATING)
@@ -236,7 +242,7 @@ class TestSpectralIdentity:
             values = list(random_series(rng))
             n = len(values)
             scaled = analyze_spectrum(values).scaled_intensity
-            for k in range(1, n):
+            for k in range(1, n // 2 + 1):
                 assert naive_spectral_identity(values, k / n) == pytest.approx(
                     scaled[k] ** 2, rel=1e-8, abs=1e-10
                 )
@@ -253,8 +259,9 @@ class TestSpectralIdentity:
 
 
 class TestUnitaryDftMatrix:
-    """``naive_unitary_dft_matrix`` U: unitary, and ``U @ (x - mean)`` is
-    ``analyze_spectrum(x).dft``."""
+    """``naive_unitary_dft_matrix`` U: unitary, and ``|U @ (x - mean)|`` over
+    the sample standard deviation is ``analyze_spectrum(x).scaled_intensity``
+    at k = 0 .. n//2."""
 
     def test_n_equals_one(self):
         np.testing.assert_allclose(naive_unitary_dft_matrix(1), [[1.0]])
@@ -273,9 +280,11 @@ class TestUnitaryDftMatrix:
         rng = np.random.default_rng(17)
         values = random_series(rng, 15)
         via_matrix = np.array(naive_unitary_dft_matrix(15)) @ (values - values.mean())
-        np.testing.assert_allclose(via_matrix, analyze_spectrum(values).dft, atol=1e-10)
+        scaled = np.abs(via_matrix[: 15 // 2 + 1]) / math.sqrt(naive_sample_variance(list(values)))
+        np.testing.assert_allclose(scaled, analyze_spectrum(values).scaled_intensity, atol=1e-10)
 
     def test_alternating_example_through_centering(self):
         product = np.array(naive_unitary_dft_matrix(4)) @ (np.array(ALTERNATING) - np.mean(ALTERNATING))
         np.testing.assert_allclose(product, [0.0, 0.0, 2.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(product, analyze_spectrum(ALTERNATING).dft, atol=1e-12)
+        scaled = np.abs(product[:3]) / math.sqrt(naive_sample_variance(ALTERNATING))
+        np.testing.assert_allclose(scaled, analyze_spectrum(ALTERNATING).scaled_intensity, atol=1e-12)
