@@ -123,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--desk-scale", action="store_true",
                        help="small grid, seconds of runtime (default)")
     scale.add_argument("--full-scale", action="store_true",
-                       help="full reference grid; an estimated 5 minutes on one core")
+                       help="full reference grid; an estimated 5 minutes on one Xeon core")
     power.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
                        help=f"master seed (default {StudyConfig.master_seed})")
     power.add_argument("--alpha", type=float,

@@ -92,19 +92,20 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
     is more: 26 rows (1 MiB) at n=5000, M=1000, but 546 rows (128 KiB) of
     a power-study round at n=30.  It holds whole tests where one test's
     rows fit (21 tests of 25 rows there), and a run of one test's rows
-    where they do not.  Its index is one broadcast add, of the tile's rows
-    of positions and each of its tests' offset ``t*n`` into the flattened
-    units.  Each tile's peaks are :func:`peak_moduli` of its spectrum.  Each row's
-    transform is independent of its tile, so the tiling changes no bit.
-    The tile and its spectrum are taken from ``buffers``, and the index
-    lives in the spectrum's memory, as ``take`` has consumed it before the
-    transform writes there.  Where a tile holds part of one test's rows and
-    :func:`stages_index` holds (n > 4,096 with uint16 positions), the
-    positions of a block of lanes, the fewest whole tiles spanning a cache
-    line of each row of the shuffle's matrix (52 rows, 0.5 MiB, at
-    n=5000), are first copied into a ``"stage"`` array from ``buffers``,
-    laid out like that matrix, and each tile's index is widened from it;
-    the index holds the same numbers either way.
+    where they do not.  Its index is the tile's rows of positions, one row
+    of n per lane, widened to intp by one copy; each of its tests gathers
+    its values from its own series by that one index, with ``take`` along
+    the series' axis.  Each tile's peaks are :func:`peak_moduli` of its
+    spectrum.  Each row's transform is independent of its tile, so the
+    tiling changes no bit.  The tile and its spectrum are taken from
+    ``buffers``, and the index lives in the spectrum's memory, as ``take``
+    has consumed it before the transform writes there.  Where a tile holds
+    part of one test's rows and :func:`stages_index` holds (n > 4,096 with
+    uint16 positions), the positions of a block of lanes, the fewest whole
+    tiles spanning a cache line of each row of the shuffle's matrix (52
+    rows, 0.5 MiB, at n=5000), are first copied into a ``"stage"`` array
+    from ``buffers``, laid out like that matrix, and each tile's index is
+    widened from it; the index holds the same numbers either way.
     """
     tests, n = units.shape
     size = len(positions)
@@ -116,10 +117,8 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
     # a fresh spectrum per tile would be handed back to the OS and faulted
     # in again whenever the allocator trims its heap
     spectra = buffers.take("tile spectrum", (per_tile, n // 2 + 1), np.complex128)
-    # 8n bytes a row, within the spectrum's 16 * (n//2 + 1)
-    index = spectra.reshape(-1).view(np.intp)[: per_tile * n]
-    flat = units.reshape(-1)
-    offsets = (np.arange(tests) * n)[:, None, None]  # test t reads units[t]
+    # a lane's n positions, 8n bytes, within its row of the spectrum's 16 * (n//2 + 1)
+    index = spectra.reshape(-1).view(np.intp)[: lanes * n]
     peaks = np.empty(rows)
     stage = None
     if lanes < size and stages_index(n, positions.dtype):
@@ -137,10 +136,14 @@ def null_msi(units: np.ndarray, positions: np.ndarray, scales, buffers: ShuffleB
             if lane == 0:
                 stage[:, : min(block, size - low)] = positions[low : low + block].T
             order = stage[:, lane : lane + high - low].T
-        at = index[: tile.size].reshape(last_test - first_test, high - low, n)
-        np.add(order, offsets[first_test:last_test], out=at)
+        # widened here: take would convert narrow positions into a fresh
+        # intp array every tile
+        at = index[: order.size].reshape(order.shape)
+        np.copyto(at, order)
         # "clip" skips take's buffered bounds check: positions are in range
-        flat.take(at, out=tile.reshape(at.shape), mode="clip")
+        units[first_test:last_test].take(
+            at, axis=1, out=tile.reshape(last_test - first_test, *at.shape), mode="clip"
+        )
         spectrum = transform(tile, spectra[: stop - start])
         # the moduli take the place of the gathered rows, which the transform
         # no longer needs: a contiguous output, which numpy fills unbuffered

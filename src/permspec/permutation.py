@@ -6,8 +6,9 @@ the maximum scaled intensity (MSI); the p-value is the fraction of
 simulated MSI values at or above the observed one.  Many tests that only
 need their decision at one level, and may share their permutations,
 share :func:`count_rejections`.  Both it and :func:`simulate_null` draw
-the null through one function, ``_null_round``, the only place
-simulations are shuffled and scored.
+the null through one function, ``_null_round``: it reads its rows of
+shuffled positions from ``_plan_rows``, the only place simulations are
+shuffled, and scores them with :func:`kernels.null_msi`.
 """
 
 from __future__ import annotations
@@ -36,10 +37,17 @@ TIE_TOLERANCE = 100 * np.finfo(np.float64).eps
 ROW_BLOCK_BYTES = 16 << 20
 DECISION_ROUND_BYTES = 128 << 10
 
-# Each round of count_rejections shuffles the next DECISION_BLOCK
-# simulations once, and scores them on every undecided test of a group in
-# one engine call.
+# Each round of count_rejections scores the next DECISION_BLOCK
+# simulations on every undecided test of a group in one engine call.
 DECISION_BLOCK = 25
+
+# The bytes of shuffled positions in a window of plan rows, which
+# ``_plan_rows`` shuffles once and holds for the rounds that read it: M=200
+# rows of n <= 60 fit, so a desk-grid cell shuffles once.  The window is
+# the shuffle's own working matrix, no copy.  All M rows held, or a 64 KiB
+# window, grew a power cell's peak allocation at n=16, M=8000 past 1.1
+# times that at M=200 (1.16 and 1.13 times; 1.04 times at 16 KiB).
+WINDOW_BYTES = 16 << 10
 
 
 def check_permutations(permutations: int) -> None:
@@ -99,8 +107,9 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     of :func:`count_rejections`' rounds, in blocks of
     ``_round_rows`` rows, the rule that also sizes those rounds: all M
     rows, unless their shuffled positions pass ``ROW_BLOCK_BYTES`` (838
-    rows of n=10,000).  Row m depends on its seed alone, so the blocking
-    changes no bit.
+    rows of n=10,000).  Each block is shuffled once, as a window of its
+    own: no window holds more rows than a block.  Row m depends on its
+    seed alone, so the blocking changes no bit.
     """
     ts = as_time_series(series)
     unit, variance = ts.spread()
@@ -108,22 +117,54 @@ def simulate_null(series, plan: PermutationPlan) -> NullDistribution:
     m, block = plan.n_permutations, _round_rows(ts.n, plan.n_permutations)
     buffers = rng.ShuffleBuffers()  # every block is shuffled in the first one's arrays
     values = np.concatenate([
-        _null_round(unit[None], scale, plan.master_seed, first, min(block, m - first), buffers)[0]
+        _null_round(unit[None], scale, plan, first, min(block, m - first), buffers)[0]
         for first in range(0, m, block)
     ])
     return NullDistribution(msi_values=values, plan=plan)
 
 
-def _null_round(units, scales, master_seed: int, first: int, size: int, buffers: rng.ShuffleBuffers):
+def _null_round(units, scales, plan: PermutationPlan, first: int, size: int, buffers: rng.ShuffleBuffers):
     """The ``(tests, size)`` null MSIs of simulations ``first .. first + size
-    - 1`` of each test i, which permute ``units[i]`` in substreams of
-    ``master_seed`` and score it with ``scales[i]`` (a scalar for one test).
-    The ``size`` rows of positions are shuffled once, and the kernel
-    gathers every test's values from them."""
-    n = units.shape[1]
-    row_seeds = rng.substream_seeds(master_seed, size, first)
-    positions = rng.permutation_rows(n, row_seeds, buffers)
+    - 1`` of each test i, which permute ``units[i]`` by the plan's rows of
+    positions and score it with ``scales[i]`` (a scalar for one test).
+    The rows come from ``_plan_rows``, and the kernel gathers every test's
+    values from them."""
+    positions = _plan_rows(units.shape[1], plan, first, size, buffers)
     return kernels.null_msi(units, positions, scales, buffers)
+
+
+def _window_rows(n: int) -> int:
+    """The rows of ``n`` positions that fill ``WINDOW_BYTES``, rounded down
+    to a multiple of ``DECISION_BLOCK``, and at least one block: 525 at
+    n=30, 250 at n=60, 50 at n=240."""
+    row_bytes = int(n) * rng.position_type(n).itemsize
+    return max(1, WINDOW_BYTES // row_bytes // DECISION_BLOCK) * DECISION_BLOCK
+
+
+def _plan_rows(n: int, plan: PermutationPlan, first: int, size: int, buffers: rng.ShuffleBuffers):
+    """Rows ``first .. first + size - 1`` of the plan's shuffled positions
+    at length n, as a view into the window of rows that ``buffers`` holds.
+
+    Where the window held is not of this n and plan (master seed and M), or
+    does not hold every row asked for, the window from ``first`` is shuffled in its
+    place, by one :func:`rng.permutation_rows` call: ``size`` rows, or
+    :func:`_window_rows` where that is more, but no more than the null's
+    memory rule, :func:`_round_rows`, and none past the plan's M.
+    Row m is a pure function of (n, master seed, m), so a held row is the
+    one a fresh shuffle gives, bit for bit.  :func:`rng.permutation_rows` clears the
+    window whenever it shuffles in ``buffers``, as it overwrites the rows.
+    The rounds of :func:`count_rejections` start at multiples of
+    ``DECISION_BLOCK``, so their windows do too, and a group reads each
+    window it reaches from one shuffle.
+    """
+    key, held = (int(n), plan), buffers.window
+    if held is None or held[0] != key or not held[1] <= first <= first + size <= held[1] + len(held[2]):
+        window = min(_window_rows(n), _round_rows(n, plan.n_permutations))
+        stop = min(plan.n_permutations, first + max(size, window))
+        rows = rng.permutation_rows(n, rng.substream_seeds(plan.master_seed, stop - first, first), buffers)
+        held = buffers.window = (key, first, rows)
+    _, start, rows = held
+    return rows[first - start : first - start + size]
 
 
 def exceedance_count(observed_msi: float, null: NullDistribution) -> int:
@@ -174,7 +215,9 @@ def decision_group(n: int, permutations: int) -> int:
     should hold: enough that its first round, ``min(DECISION_BLOCK, M)``
     shared simulations scored on each, gathers the ``_round_rows`` rows
     that one test's :func:`simulate_null` shuffles a block: 174 tests of
-    n=30 and 87 of n=60 at M=200."""
+    n=30 and 87 of n=60 at M=200.  The groups of one plan read their rounds
+    from its held window of rows (``_plan_rows``), so smaller groups cost
+    no more shuffles where M rows fit one window."""
     return max(1, _round_rows(n, permutations) // min(DECISION_BLOCK, int(permutations)))
 
 
@@ -189,24 +232,28 @@ def count_rejections(rows, plan: PermutationPlan, alpha: float, buffers: rng.Shu
     simulations it rejects if ``_p_value_of(b + M - done, M) <= alpha``,
     and cannot if ``_p_value_of(b, M) > alpha``.  Simulation m of a test is
     a pure function of (master_seed, m), so the simulations it skips could
-    not have changed it.  Each round, one ``_null_round`` call, shuffles
-    the next block of simulations once and scores them on every undecided
-    test, in ``buffers``, which a caller with many groups holds for all
-    their rounds; the rows a round gathers fill at most the
+    not have changed it.  Each round, one ``_null_round`` call, scores the
+    next ``DECISION_BLOCK`` simulations on every undecided test, in
+    ``buffers``, which a caller with many groups holds for all their
+    rounds; the rows a round gathers fill at most the
     ``DECISION_ROUND_BYTES`` that :func:`decision_group` sizes a group by.
-    Hence the simulations a test draws are the first ones of its
+    A round reads its rows of positions from the window of plan rows that
+    ``buffers`` holds (``_plan_rows``), so a window is shuffled once for
+    all the rounds that read it, and a later group of the same plan and n
+    that finds its rows still held shuffles none: one shuffle a desk-grid
+    cell.  Hence the simulations a test draws are the first ones of its
     :func:`simulate_null`, bit for bit.  The observed MSIs come from
     :func:`spectral.observe_rows`, the pass :func:`analyze_spectrum` takes
     on one series.
     """
     units, scales, _, peaks = observe_rows(rows)
     thresholds = _tie_threshold(peaks * scales)
-    master_seed, permutations = plan.master_seed, plan.n_permutations
+    permutations = plan.n_permutations
     exceedances = np.zeros(len(units), dtype=np.intp)
     rejections = done = 0
     while exceedances.size:
         size = min(DECISION_BLOCK, permutations - done)
-        null = _null_round(units, scales, master_seed, done, size, buffers)
+        null = _null_round(units, scales, plan, done, size, buffers)
         exceedances += np.count_nonzero(null >= thresholds[:, None], axis=1)
         done += size
         rejected = _p_value_of(exceedances + (permutations - done), permutations) <= alpha

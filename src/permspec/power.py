@@ -4,7 +4,9 @@ Each cell runs K independent replicates (fresh noise and fresh random
 signal frequency every time), tests each at the given number of
 permutations, and counts p-values at or below the significance level.
 The replicates of a cell share one set of permutations, which is
-independent of every replicate's series.  Only the decision is needed, so
+independent of every replicate's series, and each of its rows is
+shuffled once for all of them (once a cell where M rows fit a window of
+plan rows, as at the desk grid's M=200).  Only the decision is needed, so
 each test stops once it is settled (:func:`permutation.count_rejections`);
 the count stays exact.
 Cell seeds are pure functions of the master seed and the cell's position
@@ -35,8 +37,8 @@ from .signals import DISTRIBUTIONS, NoiseSpec, check_snr, composite_block
 
 _DISTRIBUTION_IDS = {name: index + 1 for index, name in enumerate(DISTRIBUTIONS)}
 
-# Full reference grid; an estimated 5 min on one core of a shared Xeon VM
-# (a K=500 run of every cell took 15.1-15.2 s).
+# Full reference grid; an estimated 4.5-5.5 min on one core of a shared
+# 2-core Xeon VM (a K=500 run of every cell took 13.6-16.6 s).
 FULL_SCALE = dict(
     n_values=(30, 60, 120, 240),
     snr_values=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
@@ -169,8 +171,11 @@ def run_cell(
     ``seed_chain(cell_seed, 1)``: a chain of two components, where every
     noise seed is a chain of three.  The replicates thus share their
     permutations, which are independent of each replicate's series, so
-    each test keeps its size (Hemerik & Goeman 2018, *TEST* 27:811); a
-    round shuffles its rows once for every replicate.  The replicates are made and decided a block of
+    each test keeps its size (Hemerik & Goeman 2018, *TEST* 27:811).  A
+    window of the plan's rows is shuffled once for every replicate of a
+    block, and, where M rows fit one window (M=200 at n <= 60), once for
+    the whole cell, as the blocks find its rows still held in ``buffers``.
+    The replicates are made and decided a block of
     :func:`decision_group` at a time, as arrays, whose values go to
     :func:`count_rejections` as they are, so memory does not grow with
     their number and no object is built per replicate.  Every round

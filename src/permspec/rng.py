@@ -130,7 +130,9 @@ class ShuffleBuffers:
     """The large work arrays of a null round, held across calls: the
     working matrix and draw blocks of :func:`permutation_rows`, and the
     gather tile, its spectrum and, for long series, the ``"stage"`` lane
-    block of :func:`permspec.kernels.null_msi`.
+    block of :func:`permspec.kernels.null_msi`.  ``window`` records the
+    rows of a plan last shuffled into the working matrix, which
+    ``permutation._plan_rows`` serves again while they stay there.
 
     A caller that shuffles and scores block after block of rows passes
     one of these to every call: each array is then allocated at the
@@ -142,6 +144,10 @@ class ShuffleBuffers:
 
     def __init__(self):
         self._held = {}  # (name, dtype) -> 1-d array, grown as needed
+        # (key, first row, rows) of the plan rows that permutation._plan_rows
+        # last shuffled into "work", or None; permutation_rows clears it, as
+        # every shuffle overwrites "work"
+        self.window = None
 
     def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Uninitialised array ``name`` of ``shape`` and ``dtype``: a
@@ -192,6 +198,7 @@ def permutation_rows(n: int, row_seeds: np.ndarray, buffers: ShuffleBuffers) -> 
     if n < 1:
         raise ValueError(f"permutation length must be >= 1, got {n}")
     n, rows, dtype = int(n), seeds.size, position_type(n)
+    buffers.window = None
     # column m is row m of the result, so step i swaps the contiguous row
     # work[i] with the elements at flat indices j*rows + m
     work = buffers.take("work", (n, rows), dtype)

@@ -5,7 +5,14 @@ import numpy as np
 
 import permspec
 from permspec import kernels, rng
-from permspec.permutation import DECISION_BLOCK, DECISION_ROUND_BYTES, ROW_BLOCK_BYTES, decision_group
+from permspec.permutation import (
+    DECISION_BLOCK,
+    DECISION_ROUND_BYTES,
+    ROW_BLOCK_BYTES,
+    WINDOW_BYTES,
+    _window_rows,
+    decision_group,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -54,10 +61,15 @@ def test_engine_figures_follow_the_code():
     """Every figure README quotes for the null engine is derived from the
     constant or rule that sets it, so a retune cannot leave it stale."""
     text = " ".join(README.read_text(encoding="utf-8").split())
+    desk = permspec.StudyConfig()
+    assert _window_rows(max(desk.n_values)) >= desk.permutations  # a desk cell shuffles once
     figures = [
         f"at most {_sized(ROW_BLOCK_BYTES)} of shuffled positions",
         f"at most {_sized(kernels.TILE_BYTES)} of float rows",
-        f"shuffling the next {DECISION_BLOCK} permutations",
+        f"scoring the next {DECISION_BLOCK} permutations",
+        f"{_sized(WINDOW_BYTES)} of shuffled positions ({_window_rows(30)} permutations of n=30, "
+        f"{_window_rows(60)} of n=60, {_window_rows(240)} of n=240)",
+        f"a desk-grid cell (M={desk.permutations}) shuffles its permutations once",
         f"make that call gather {_sized(DECISION_ROUND_BYTES)} of positions",
         f"or {_sized(kernels.SMALL_TILE_BYTES)} where that is more",
         f"({decision_group(30, 200)} replicates of n=30, {decision_group(60, 200)} of n=60, at M=200)",

@@ -230,3 +230,27 @@ def test_gathered_null_is_the_analysis_of_the_permuted_series(n, monkeypatch):
         monkeypatch.setattr(kernels, "TILE_BYTES", tile_bytes)
         assert kernels.null_msi(units, order, scales, rng.ShuffleBuffers()).tolist() == expected
         assert tiles == rows
+
+
+@pytest.mark.parametrize(
+    "n,size,dtype",
+    [(30, 25, np.uint8), (5000, 60, np.uint16), (70_000, 3, np.uint32)],
+    ids=["uint8", "uint16-staged", "uint32"],
+)
+def test_a_call_scores_each_test_as_alone(n, size, dtype):
+    """Four tests gathered by one index of each tile's rows of positions
+    give each test's MSIs of a call that scores it alone, bit for bit, at
+    every position type: in tiles of whole tests (n=30), through the lane
+    block (n=5000) and in one-row tiles (n=70,000)."""
+    generator = np.random.default_rng(n)
+    spreads = [TimeSeries(generator.standard_t(2, n)).spread() for _ in range(4)]
+    units = np.stack([unit for unit, _ in spreads])
+    scales = np.array([kernels.msi_scale(n, variance) for _, variance in spreads])
+    positions = rng.permutation_rows(n, rng.substream_seeds(n, size), rng.ShuffleBuffers())
+    assert positions.dtype == dtype
+    assert kernels.stages_index(n, dtype) == (dtype == np.uint16)
+    buffers = rng.ShuffleBuffers()
+    together = kernels.null_msi(units, positions, scales, buffers)
+    for t in range(4):
+        alone = kernels.null_msi(units[t : t + 1], positions, scales[t], buffers)
+        assert alone.tobytes() == together[t].tobytes(), t

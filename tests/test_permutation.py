@@ -230,7 +230,7 @@ def test_any_split_into_rounds_gives_simulate_nulls_values(case):
     units, scales, _, _ = observe_rows(values)
     buffers = rng.ShuffleBuffers()
     rounds = [
-        permutation._null_round(units, scales, seed, first, stop - first, buffers)
+        permutation._null_round(units, scales, PermutationPlan(seed, m), first, stop - first, buffers)
         for first, stop in zip(bounds, bounds[1:])
     ]
     null = np.concatenate(rounds, axis=1)

@@ -27,6 +27,7 @@ from permspec import (
     run_cell,
     run_grid,
     save_table,
+    simulate_null,
 )
 from permspec.permutation import DECISION_BLOCK, DECISION_ROUND_BYTES, _round_rows, decision_group
 from permspec.power import render_table
@@ -213,31 +214,114 @@ class TestBatching:
         assert run_cell(*args) == expected
         assert set(tiles) == {1}
 
-    @pytest.mark.parametrize("permutations", [7, 100])
-    def test_a_round_shuffles_its_rows_once(self, monkeypatch, permutations):
-        """Each round shuffles one set of at most ``min(DECISION_BLOCK, M)``
-        rows, through ``rng.permutation_rows``, and the kernel gathers every
-        undecided test of the group from those very rows: the shuffled rows
-        are never one set per test.  60 replicates make one group."""
-        shuffled, scored = [], []
-        shuffle, null_msi = rng.permutation_rows, kernels.null_msi
+    @staticmethod
+    def record_groups(monkeypatch):
+        """Each count_rejections call of run_cell, as a list of the seeds of
+        each rng.permutation_rows call it makes and of the rows of each
+        kernels.null_msi call."""
+        groups = []
+        shuffle, null_msi, count = rng.permutation_rows, kernels.null_msi, power.count_rejections
 
         def recorded_shuffle(n, seeds, buffers):
-            shuffled.append(len(seeds))
+            groups[-1]["shuffled"].append(np.array(seeds))
             return shuffle(n, seeds, buffers)
 
         def recorded_null_msi(units, positions, scales, buffers):
-            scored.append((len(units), len(positions)))
+            groups[-1]["scored"].append(len(positions))
             return null_msi(units, positions, scales, buffers)
+
+        def recorded_count(rows, plan, alpha, buffers):
+            groups.append({"shuffled": [], "scored": []})
+            return count(rows, plan, alpha, buffers)
 
         monkeypatch.setattr(rng, "permutation_rows", recorded_shuffle)
         monkeypatch.setattr(kernels, "null_msi", recorded_null_msi)
-        assert decision_group(30, permutations) >= 60
-        run_cell("t2", 30, 0.4, 60, permutations, 0.05, cell_seed=4)
-        block = min(DECISION_BLOCK, permutations)
-        assert shuffled and max(shuffled) <= block
-        assert [size for _, size in scored] == shuffled
-        assert scored[0] == (60, block)
+        monkeypatch.setattr(power, "count_rejections", recorded_count)
+        return groups
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_a_desk_cell_shuffles_once(self, monkeypatch, n):
+        """M=200 rows of n <= 60 fit one window of plan rows, so a cell of
+        three groups shuffles them in one rng.permutation_rows call, with
+        the seeds of the cell's plan, and every later round and group reads
+        them from there.  The kernel still scores at most
+        ``DECISION_BLOCK`` rows a round."""
+        assert permutation._window_rows(n) >= 200
+        groups = self.record_groups(monkeypatch)
+        run_cell("t2", n, 0.4, 3 * decision_group(n, 200), 200, 0.05, cell_seed=4)
+        assert len(groups) == 3
+        shuffled = [seeds for group in groups for seeds in group["shuffled"]]
+        assert len(shuffled) == 1
+        assert shuffled[0].tolist() == rng.substream_seeds(seed_chain(4, 1), 200).tolist()
+        assert max(size for group in groups for size in group["scored"]) == DECISION_BLOCK
+
+    def test_a_group_shuffles_each_row_once(self, monkeypatch):
+        """At n=240, M=1000 a window holds 50 rows.  Each shuffle is one
+        window of the plan's rows, from a multiple of ``DECISION_BLOCK``,
+        and no group of the cell's three shuffles a row twice, though
+        some read many windows."""
+        window = permutation._window_rows(240)
+        assert window == 2 * DECISION_BLOCK
+        plan_seeds = rng.substream_seeds(seed_chain(4, 1), 1000).tolist()
+        groups = self.record_groups(monkeypatch)
+        run_cell("t2", 240, 0.4, 2 * decision_group(240, 1000) + 10, 1000, 0.05, cell_seed=4)
+        assert len(groups) == 3
+        for group in groups:
+            rows = []
+            for seeds in group["shuffled"]:
+                first = plan_seeds.index(seeds[0])
+                assert first % DECISION_BLOCK == 0 and len(seeds) == min(window, 1000 - first)
+                assert seeds.tolist() == plan_seeds[first : first + len(seeds)]
+                rows.extend(range(first, first + len(seeds)))
+            assert len(rows) == len(set(rows))
+            assert max(group["scored"]) <= DECISION_BLOCK
+        assert max(len(group["shuffled"]) for group in groups) > 2
+
+
+class TestPlanWindow:
+    """The window of plan rows that a set of buffers holds serves only the
+    rows of its own plan and length, whatever else shuffled in between."""
+
+    @staticmethod
+    def cell(distribution, n, permutations):
+        """The rows of a cell of 40 replicates at cell seed 3, its plan, and
+        the rejections at alpha=0.2 of one full test per replicate."""
+        tests = reference_cell_tests(distribution, n, 0.4, 40, permutations, 3)
+        rows = np.stack([
+            random_composite(distribution, n, 0.4, seed=seed_chain(3, r, 0)).series.values
+            for r in range(40)
+        ])
+        plan = PermutationPlan(seed_chain(3, 1), permutations)
+        return rows, plan, sum(test.p_value <= 0.2 for test in tests)
+
+    def test_a_stale_window_is_never_served(self, monkeypatch):
+        """Between two counts of one plan, one set of buffers also runs a
+        simulate_null of the same length, a cell of the same seed at
+        another n of the same position type, the same seed with another M,
+        and a shuffle of other rows called directly.  Every count is that
+        of the full tests, and after the direct shuffle the plan's rows are
+        those of a fresh shuffle."""
+        base = self.cell("normal", 30, 200)
+        others = [self.cell("t2", 60, 200), self.cell("normal", 30, 100)]
+        assert rng.position_type(30) == rng.position_type(60)
+        buffers, fresh = rng.ShuffleBuffers(), rng.ShuffleBuffers()
+        monkeypatch.setattr(rng, "ShuffleBuffers", lambda: buffers)  # simulate_null's too
+
+        def counted(rows, plan, expected):
+            assert permutation.count_rejections(rows, plan, 0.2, buffers) == expected
+
+        counted(*base)
+        simulate_null(base[0][0], PermutationPlan(9, 200))
+        assert buffers.window is not None and buffers.window[0] == (30, PermutationPlan(9, 200))
+        counted(*base)
+        for other in others:
+            counted(*other)
+            counted(*base)
+        rng.permutation_rows(30, rng.substream_seeds(9, 200), buffers)
+        plan = base[1]
+        expected = rng.permutation_rows(30, rng.substream_seeds(plan.master_seed, 200), fresh)
+        assert permutation._plan_rows(30, plan, 0, 200, buffers).tolist() == expected.tolist()
+        counted(*base)
 
 
 class TestBlockReplicates:
